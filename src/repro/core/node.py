@@ -302,13 +302,13 @@ class RBFTNode:
                 if 0 <= instance < len(engines)
             )
             msg._rx_cost = cost
-        engines[first].core.submit(cost, self._dispatch_envelope, runs)
+        engines[first].core.submit(cost, self._dispatch_envelope, msg)
 
-    def _dispatch_envelope(self, runs) -> None:
-        engines = self.engines
-        for instance, run in runs:
-            if 0 <= instance < len(engines):
-                engines[instance].dispatch_batch(run)
+    def _dispatch_envelope(self, msg: InstanceBatchMsg) -> None:
+        # One sender per envelope: its vote bit in the sender universe
+        # the engines share is resolved once, here.
+        bit = self.machine.cluster.senders.bit(msg.sender)
+        OrderingInstance.dispatch_envelope(self.engines, msg.runs(), msg.sender, bit)
 
     def _flush_cert_batch(self, batch: List[OrderingMessage]) -> None:
         """Coalescer flush: one window of backup certificates, one send."""

@@ -14,22 +14,33 @@ valid.  Verification in protocol code is then two separate things —
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Optional
 
 __all__ = ["Digest", "Mac", "MacAuthenticator", "Signature"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Digest:
     """A collision-resistant digest, modelled structurally.
 
     Two digests are equal iff they were computed over the same token; the
     Byzantine model forbids forging collisions (§II), so structural
-    equality is faithful.
+    equality is faithful.  Digests key every certificate lookup, so the
+    hash of the (nested) token is taken once, at construction.
     """
 
     token: Hashable
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.token,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Digest, (self.token,))  # re-hash on load: str hashes are per-process
 
     def __repr__(self) -> str:
         return "Digest(%r)" % (self.token,)

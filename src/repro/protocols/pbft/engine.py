@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.batching import Batcher
-from repro.common.quorum import QuorumTracker, SenderUniverse, VectorQuorumTracker
+from repro.common.quorum import SenderUniverse, VectorQuorumTracker
 from repro.crypto.costmodel import DIGEST_SIZE, CryptoCostModel
 from repro.crypto.primitives import Digest, MacAuthenticator
 from repro.sim.engine import Simulator
@@ -76,18 +76,33 @@ class InstanceConfig:
         return 2 * self.f + 1
 
 
-class _Entry:
-    """Per-sequence-number log record."""
+class _Slot:
+    """Per-sequence-number log record carrying its own certificates.
 
-    __slots__ = ("view", "seq", "items", "digest", "prepared", "committed")
+    Bound to the ``(view, digest)`` of the pre-prepare that opened it;
+    ``prepares``/``commits`` are the sender bitmasks of the votes for
+    exactly that binding, complemented (negative) once their quorum has
+    fired — the :class:`VectorQuorumTracker` encoding.  Votes for any
+    other ``(view, digest)`` at the same sequence number wait in the
+    same shape, ``items`` still ``None``, in ``OrderingInstance._stray``.
+    """
 
-    def __init__(self, view: int, seq: int, items: Tuple, digest: Digest):
+    __slots__ = ("view", "digest", "items", "prepares", "commits", "prepared", "committed")
+
+    def __init__(self, view: int, digest: Digest):
         self.view = view
-        self.seq = seq
-        self.items = items
         self.digest = digest
-        self.prepared = False
-        self.committed = False
+        self.items: Optional[Tuple] = None  # set when a pre-prepare binds it
+        self.prepares = self.commits = 0
+        self.prepared = self.committed = False
+
+
+def _tally(mask: int, bit: int, quorum: int) -> int:
+    """OR ``bit`` into a vote mask; complement it once ``quorum`` is met."""
+    if mask < 0:
+        return mask  # already fired
+    mask |= bit
+    return ~mask if mask.bit_count() >= quorum else mask
 
 
 class OrderingInstance:
@@ -127,27 +142,19 @@ class OrderingInstance:
         self.seq_assigned = 0
         self.low_watermark = 0
         self.next_exec = 1
-        self.log: Dict[int, _Entry] = {}
+        self.log: Dict[int, _Slot] = {}
         self.pending: Dict = {}  # request_id -> item, awaiting ordering
         self._ordered_ids: Set = set()
-        # Vote tracking: with a shared sender universe (one per cluster)
-        # the array-structured tracker interns each sender bit exactly
-        # once across every instance of every node — same semantics,
-        # byte-identical results, far less per-tracker state at n ≫ 4.
-        if senders is not None:
-            self._prepare_votes = VectorQuorumTracker(
-                config.prepare_quorum, senders
-            )
-            self._commit_votes = VectorQuorumTracker(
-                config.commit_quorum, senders
-            )
-            self._checkpoint_votes = VectorQuorumTracker(
-                config.commit_quorum, senders
-            )
-        else:
-            self._prepare_votes = QuorumTracker(config.prepare_quorum)
-            self._commit_votes = QuorumTracker(config.commit_quorum)
-            self._checkpoint_votes = QuorumTracker(config.commit_quorum)
+        # PREPARE/COMMIT votes live on the log slot they certify (see
+        # ``_Slot``); ``_stray`` holds those for any other (view, seq,
+        # digest).  Sender bits come from the cluster-wide universe when
+        # there is one: interned once per deployment, not per engine.
+        self._stray: Dict[Tuple[int, int, Digest], _Slot] = {}
+        self._prepare_quorum = config.prepare_quorum
+        self._commit_quorum = config.commit_quorum
+        self._senders = SenderUniverse() if senders is None else senders
+        self._own_bit = self._senders.bit(replica)
+        self._checkpoint_votes = VectorQuorumTracker(config.commit_quorum, self._senders)
         self._vc_votes: Dict[int, Dict[str, ViewChange]] = {}
         self._vc_voted_for = 0
         self.pending_view: Optional[int] = None
@@ -190,8 +197,8 @@ class OrderingInstance:
         )
         self._preprepare_rx_costs: Dict[int, float] = {}
         self._batch_send_costs: Dict[int, float] = {}
-        self._primary_cache_view = -1
-        self._primary_cache = False
+        self._primary_name_view = -1
+        self._primary_name = ""
         self._dispatch_handlers = {
             PrePrepare: self._on_preprepare,
             Prepare: self._on_prepare,
@@ -209,22 +216,20 @@ class OrderingInstance:
         return (view + self.primary_offset) % self.config.n
 
     def primary_name(self, view: Optional[int] = None) -> str:
-        return "node%d" % self.primary_index(view)
+        # Asked once per PREPARE and (via ``is_primary``) once per pooled
+        # item, so the round-robin case is cached per view.  A custom
+        # selector (Spinning consults a mutable blacklist) never is.
+        view = self.view if view is None else view
+        if self.primary_selector is not None:
+            return "node%d" % self.primary_selector(view)
+        if view != self._primary_name_view:
+            self._primary_name_view = view
+            self._primary_name = "node%d" % ((view + self.primary_offset) % self.config.n)
+        return self._primary_name
 
     @property
     def is_primary(self) -> bool:
-        # ``submit`` asks once per pooled item, so the round-robin case
-        # is cached per view.  A custom selector (Spinning consults a
-        # mutable blacklist) is never cached.
-        if self.primary_selector is not None:
-            return self.primary_selector(self.view) == self.index
-        view = self.view
-        if view != self._primary_cache_view:
-            self._primary_cache_view = view
-            self._primary_cache = (
-                (view + self.primary_offset) % self.config.n == self.index
-            )
-        return self._primary_cache
+        return self.primary_name() == self.replica
 
     # ------------------------------------------------------------- ingress
     def submit(self, item) -> None:
@@ -361,15 +366,35 @@ class OrderingInstance:
             + self.config.rx_overhead * len(messages)
         )
 
-    def dispatch_batch(self, messages: List[OrderingMessage]) -> None:
-        """Handle a coalesced run; the caller has charged the CPU cost.
+    def dispatch_batch(self, messages, sender=None, bit=None) -> None:
+        """Handle one coalesced run; the caller has charged the CPU cost."""
+        self.dispatch_envelope((self,), ((0, messages),), sender, bit)
 
-        Per-message protocol semantics are unchanged: each inner message
-        still goes through :meth:`_dispatch` with its own authenticator
-        check.
+    @staticmethod
+    def dispatch_envelope(engines, runs, sender=None, bit=None) -> None:
+        """Handle the per-instance ``runs`` of one certificate envelope.
+
+        Per-message protocol semantics are unchanged; PREPARE/COMMIT
+        with a valid inner authenticator — all but a handful — skip
+        :meth:`_dispatch` and go straight to their handlers.  An
+        envelope has one ``sender``: its receiver resolves that sender's
+        ``bit`` in the ``SenderUniverse`` the engines share once, and an
+        inner message naming another sender resolves its own.
         """
-        for msg in messages:
-            self._dispatch(msg)
+        for instance, run in runs:
+            if not 0 <= instance < len(engines):
+                continue
+            engine = engines[instance]
+            for msg in run:
+                cls = msg.__class__
+                auth = msg.authenticator
+                if (cls is Prepare or cls is Commit) and (
+                    auth.invalid_for is None or auth.valid_for(engine.replica)
+                ):
+                    handler = engine._on_prepare if cls is Prepare else engine._on_commit
+                    handler(msg, bit if msg.sender is sender else None)
+                else:
+                    engine._dispatch(msg)
 
     def _dispatch(self, msg: OrderingMessage) -> None:
         if not msg.authenticator.valid_for(self.replica):
@@ -443,9 +468,7 @@ class OrderingInstance:
     def _accept_preprepare(self, msg: PrePrepare) -> None:
         if msg.view != self.view or not self.active:
             return
-        entry = _Entry(msg.view, msg.seq, msg.items, msg.digest)
-        self.log[msg.seq] = entry
-        key = (msg.view, msg.seq, msg.digest)
+        slot = self._record_preprepare(msg)
         if not self.silent:
             prepare = Prepare(
                 self.replica,
@@ -456,32 +479,77 @@ class OrderingInstance:
                 self._auth,
             )
             self.core.submit(self._cert_send_cost, self.transport.broadcast, prepare)
-            if self._prepare_votes.add(key, self.replica):
-                self._mark_prepared(msg.seq, msg.view, msg.digest)
-                return
-        if self._prepare_votes.complete(key):
-            self._mark_prepared(msg.seq, msg.view, msg.digest)
+            slot.prepares = _tally(slot.prepares, self._own_bit, self._prepare_quorum)
+        if slot.prepares < 0:
+            self._mark_prepared(slot, slot, msg.seq, msg.view)
 
-    def _record_preprepare(self, msg: PrePrepare) -> None:
-        """The primary's own bookkeeping for the batch it just proposed."""
-        self.log[msg.seq] = _Entry(msg.view, msg.seq, msg.items, msg.digest)
+    def _record_preprepare(self, msg: PrePrepare) -> _Slot:
+        """Bind the log slot of ``msg.seq`` to this pre-prepare (also the
+        primary's own bookkeeping for the batch it just proposed).
+
+        Votes that raced the pre-prepare move in from ``_stray``; a
+        displaced binding's votes move out to it, countable until the
+        next checkpoint like any other dead key.
+        """
+        seq = msg.seq
+        old = self.log.get(seq)
+        if old is not None and (old.prepares or old.commits):
+            self._stray[(old.view, seq, old.digest)] = old
+        slot = self._stray.pop((msg.view, seq, msg.digest), None)
+        if slot is None:
+            slot = _Slot(msg.view, msg.digest)
+        slot.items = msg.items
+        slot.prepared = slot.committed = False
+        self.log[seq] = slot
+        return slot
+
+    def _stray_votes(self, view: int, seq: int, digest: Digest) -> _Slot:
+        """The vote record of a key the slot at ``seq`` is not bound to."""
+        key = (view, seq, digest)
+        votes = self._stray.get(key)
+        if votes is None:
+            votes = self._stray[key] = _Slot(view, digest)
+        return votes
 
     # --------------------------------------------------------------- prepare
-    def _on_prepare(self, msg: Prepare) -> None:
-        if msg.view > self.view:
-            self._buffer_future(msg)
+    def _on_prepare(self, msg: Prepare, bit: Optional[int] = None) -> None:
+        view = msg.view
+        if view != self.view:
+            if view > self.view:
+                self._buffer_future(msg)
             return
-        if msg.view != self.view or not self.active:
+        seq = msg.seq
+        # At or below the stable checkpoint the slot is gone for good:
+        # a vote there could only re-seed garbage-collected state.
+        if not self.active or seq <= self.low_watermark:
             return
-        if msg.sender == self.primary_name(msg.view):
+        primary = self._primary_name
+        if view != self._primary_name_view or self.primary_selector is not None:
+            primary = self.primary_name(view)
+        if msg.sender == primary:
             return  # the primary's pre-prepare is its prepare
-        key = (msg.view, msg.seq, msg.digest)
-        if self._prepare_votes.add(key, msg.sender):
-            self._mark_prepared(msg.seq, msg.view, msg.digest)
+        digest = msg.digest
+        entry = votes = self.log.get(seq)
+        if entry is None or entry.view != view or (
+            entry.digest is not digest and entry.digest != digest
+        ):
+            votes = self._stray_votes(view, seq, digest)
+        mask = votes.prepares
+        if mask < 0:
+            return  # quorum already fired
+        merged = mask | (bit or self._senders.bit(msg.sender))
+        if merged.bit_count() < self._prepare_quorum:
+            votes.prepares = merged
+            return
+        votes.prepares = ~merged
+        self._mark_prepared(entry, votes, seq, view)
 
-    def _mark_prepared(self, seq: int, view: int, digest: Digest) -> None:
-        entry = self.log.get(seq)
-        if entry is None or entry.digest != digest or entry.prepared:
+    def _mark_prepared(self, entry: Optional[_Slot], votes: _Slot, seq: int, view: int) -> None:
+        """The prepare quorum of ``votes`` fired; ``entry`` is the log
+        slot at ``seq`` (``votes`` itself unless the key is a stray)."""
+        if entry is None or entry.prepared or (
+            entry is not votes and entry.digest != votes.digest
+        ):
             return
         entry.prepared = True
         tracer = self.sim.tracer
@@ -490,36 +558,51 @@ class OrderingInstance:
                 self.sim.now, "pbft.phase", self._trace_name,
                 phase="prepared", seq=seq, view=view,
             )
-        key = (view, seq, digest)
         if not self.silent:
             commit = Commit(
-                self.replica, self.instance, view, seq, digest, self._auth,
+                self.replica, self.instance, view, seq, votes.digest, self._auth,
             )
             self.core.submit(self._cert_send_cost, self.transport.broadcast, commit)
-            self._commit_votes.add(key, self.replica)
-        self._maybe_commit(seq, view, digest)
+            votes.commits = _tally(votes.commits, self._own_bit, self._commit_quorum)
+        self._maybe_commit(entry, votes, seq, view)
 
     # ---------------------------------------------------------------- commit
-    def _on_commit(self, msg: Commit) -> None:
-        if msg.view > self.view:
-            self._buffer_future(msg)
+    def _on_commit(self, msg: Commit, bit: Optional[int] = None) -> None:
+        view = msg.view
+        if view != self.view:
+            if view > self.view:
+                self._buffer_future(msg)
             return
-        if msg.view != self.view or not self.active:
+        seq = msg.seq
+        if not self.active or seq <= self.low_watermark:
+            return  # see _on_prepare
+        digest = msg.digest
+        entry = votes = self.log.get(seq)
+        if entry is None or entry.view != view or (
+            entry.digest is not digest and entry.digest != digest
+        ):
+            votes = self._stray_votes(view, seq, digest)
+        mask = votes.commits
+        if mask < 0:
+            # Quorum already fired — and was acted on the moment it
+            # could be: on firing if the slot was prepared, else from
+            # ``_mark_prepared``.
             return
-        key = (msg.view, msg.seq, msg.digest)
-        self._commit_votes.add(key, msg.sender)
-        self._maybe_commit(msg.seq, msg.view, msg.digest)
+        mask |= bit or self._senders.bit(msg.sender)
+        if mask.bit_count() < self._commit_quorum:
+            votes.commits = mask
+            return
+        votes.commits = ~mask
+        self._maybe_commit(entry, votes, seq, view)
 
-    def _maybe_commit(self, seq: int, view: int, digest: Digest) -> None:
-        entry = self.log.get(seq)
+    def _maybe_commit(self, entry: Optional[_Slot], votes: _Slot, seq: int, view: int) -> None:
         if (
             entry is None
+            or votes.commits >= 0
             or entry.committed
             or not entry.prepared
-            or entry.digest != digest
+            or (entry is not votes and entry.digest != votes.digest)
         ):
-            return
-        if not self._commit_votes.complete((view, seq, digest)):
             return
         entry.committed = True
         tracer = self.sim.tracer
@@ -527,7 +610,7 @@ class OrderingInstance:
             tracer.emit(
                 self.sim.now, "pbft.phase", self._trace_name,
                 phase="committed", seq=seq, view=view,
-                digest=repr(digest.token),
+                digest=repr(votes.digest.token),
             )
         self._drain_ordered()
 
@@ -603,10 +686,7 @@ class OrderingInstance:
         self.next_exec = seq + 1
         self.seq_assigned = max(self.seq_assigned, seq)
         for old_seq in [s for s in self.log if s <= seq]:
-            entry = self.log.pop(old_seq)
-            self._prepare_votes.discard((entry.view, old_seq, entry.digest))
-            self._commit_votes.discard((entry.view, old_seq, entry.digest))
-            for item in entry.items:
+            for item in self.log.pop(old_seq).items:
                 self._ordered_ids.discard(item.request_id)
         self._drain_ordered()
 
@@ -625,10 +705,7 @@ class OrderingInstance:
                 )
             self.next_exec = seq + 1
         for old_seq in [s for s in self.log if s <= seq]:
-            entry = self.log.pop(old_seq)
-            self._prepare_votes.discard((entry.view, old_seq, entry.digest))
-            self._commit_votes.discard((entry.view, old_seq, entry.digest))
-            for item in entry.items:
+            for item in self.log.pop(old_seq).items:
                 self._ordered_ids.discard(item.request_id)
         self._collect_garbage(seq)
 
@@ -636,15 +713,16 @@ class OrderingInstance:
         """Drop every piece of per-sequence state at or below the stable
         checkpoint ``seq`` (PBFT's log garbage collection, OSDI '99 §4.3).
 
-        The popped log entries above only remove votes matching the
-        entry's own (view, digest); orphaned vote keys — conflicting
-        digests, superseded views, sequences this replica never logged —
-        would otherwise accumulate forever.  View-change votes for views
+        The popped log slots above take the votes for their own (view,
+        digest) with them; stray vote keys — conflicting digests,
+        superseded views, sequences this replica never logged — would
+        otherwise accumulate forever.  View-change votes for views
         at or below the current one are unreadable (every read path
         requires ``new_view > self.view``) and are dropped too.
         """
-        self._prepare_votes.prune(lambda key: key[1] <= seq)
-        self._commit_votes.prune(lambda key: key[1] <= seq)
+        stray = self._stray
+        for key in [key for key in stray if key[1] <= seq]:
+            del stray[key]
         self._checkpoint_votes.prune(lambda key: key[0] <= seq)
         for stale in [v for v in self._vc_votes if v <= self.view]:
             del self._vc_votes[stale]
@@ -765,9 +843,7 @@ class OrderingInstance:
         # requests are still pooled for re-proposal.  The new primary then
         # reuses those sequence numbers, so execution never stalls on them.
         for seq in [s for s, entry in self.log.items() if not entry.committed]:
-            entry = self.log.pop(seq)
-            self._prepare_votes.discard((entry.view, seq, entry.digest))
-            self._commit_votes.discard((entry.view, seq, entry.digest))
+            del self.log[seq]
         if repropose:
             self._adopt_reproposals(new_view, repropose, announce)
         if self.is_primary:
@@ -860,10 +936,14 @@ class OrderingInstance:
         alongside but excluded from ``total`` — they scale with load and
         batch size, not with the horizon.
         """
+        # Distinct (view, seq, digest) keys holding a vote, wherever kept.
+        records = list(self.log.values()) + list(self._stray.values())
+        prepare_votes = sum(1 for r in records if r.prepares)
+        commit_votes = sum(1 for r in records if r.commits)
         total = (
             len(self.log)
-            + len(self._prepare_votes)
-            + len(self._commit_votes)
+            + prepare_votes
+            + commit_votes
             + len(self._checkpoint_votes)
             + len(self._vc_votes)
             + len(self._waiting_guard)
@@ -872,8 +952,8 @@ class OrderingInstance:
         return {
             "total": total,
             "log": len(self.log),
-            "prepare_votes": len(self._prepare_votes),
-            "commit_votes": len(self._commit_votes),
+            "prepare_votes": prepare_votes,
+            "commit_votes": commit_votes,
             "checkpoint_votes": len(self._checkpoint_votes),
             "vc_votes": len(self._vc_votes),
             "waiting_guard": len(self._waiting_guard),

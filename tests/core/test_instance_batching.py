@@ -23,12 +23,15 @@ from repro.common.batching import CertificateCoalescer, group_by_instance
 from repro.core import RBFTConfig
 from repro.core.messages import InstanceBatchMsg
 from repro.core.node import BatchingInstanceTransport, InstanceTransport
+from repro.crypto import CryptoCostModel
 from repro.crypto.costmodel import MAC_SIZE, MESSAGE_HEADER_SIZE
 from repro.crypto.primitives import MacAuthenticator
 from repro.experiments.deployments import build_rbft
 from repro.protocols import registry
-from repro.protocols.pbft.messages import Commit, Prepare
-from repro.sim import Simulator
+from repro.protocols.pbft.engine import InstanceConfig, OrderingInstance
+from repro.protocols.pbft.messages import Commit, PrePrepare, Prepare
+from repro.sim import Core, Simulator
+from tests.protocols.test_engine_unit import request
 
 
 def small_config(f=1, **overrides):
@@ -151,6 +154,89 @@ def test_coalescer_flushes_on_window_and_size():
     for item in ("c", "d", "e"):
         coalescer.add(item)
     assert flushed[-1] == ["c", "d", "e"]  # size-triggered, no timer wait
+
+
+# ------------------------------------------- envelope ≡ per-message, engine
+class _Outbox:
+    def __init__(self):
+        self.sent = []
+
+    def broadcast(self, msg):
+        self.sent.append((type(msg).__name__, msg.view, msg.seq))
+
+
+def _engine():
+    sim = Simulator()
+    outbox, ordered, invalid = _Outbox(), [], []
+    engine = OrderingInstance(
+        sim, Core(sim, "core"), outbox, InstanceConfig(f=1),
+        CryptoCostModel(), replica="node2", instance=1,
+        on_ordered=lambda seq, items: ordered.append((seq, items)),
+        primary_offset=0,
+    )
+    engine.on_invalid = invalid.append
+    return sim, engine, outbox, ordered, invalid
+
+
+def _certificate_run():
+    """What node1 and node3 would envelope to node2 for two batches,
+    plus one message with a corrupt inner authenticator and one COMMIT
+    from the next view."""
+    valid = MacAuthenticator.for_signer
+    run = []
+    for seq in (1, 2):
+        run.append(PrePrepare(
+            "node0", 1, 0, seq, (request(seq),), ("digest", seq), 64,
+            valid("node0"),
+        ))
+        for sender in ("node1", "node3"):
+            run.append(Prepare(sender, 1, 0, seq, ("digest", seq), valid(sender)))
+        for sender in ("node0", "node1"):
+            run.append(Commit(sender, 1, 0, seq, ("digest", seq), valid(sender)))
+    run.insert(3, Prepare(
+        "node3", 1, 0, 1, ("digest", 1), MacAuthenticator.corrupt("node3")
+    ))
+    run.insert(6, Commit("node3", 1, 1, 3, ("digest", 3), valid("node3")))
+    return run
+
+
+def _state(engine, outbox, ordered, invalid):
+    return {
+        "ordered": list(ordered),
+        "sent": list(outbox.sent),
+        "invalid": list(invalid),
+        "future": [(type(m).__name__, m.view, m.seq) for m in engine._future],
+        "sizes": engine.log_sizes(),
+        "view": engine.view,
+    }
+
+
+def test_dispatch_batch_matches_receiving_one_message_at_a_time():
+    run = _certificate_run()
+    sim_a, enveloped, *rest_a = _engine()
+    enveloped.dispatch_batch(run)
+    sim_a.run()
+    sim_b, single, *rest_b = _engine()
+    for msg in run:
+        single.receive(msg)
+    sim_b.run()
+    state = _state(enveloped, *rest_a)
+    assert state == _state(single, *rest_b)
+    # The corrupt inner authenticator was reported once and only that
+    # message was lost: node3's valid PREPARE still counted.
+    assert state["invalid"] == ["node3"]
+    assert [seq for seq, _ in state["ordered"]] == [1, 2]
+    # The next-view COMMIT waits in the future buffer ...
+    assert state["future"] == [("Commit", 1, 3)]
+    # ... and is replayed on view entry, on both paths alike.
+    for engine in (enveloped, single):
+        engine._install_view(1, announce=False)
+    assert _state(enveloped, *rest_a) == _state(single, *rest_b)
+    assert enveloped._future == []
+    assert (
+        enveloped.log_sizes()["commit_votes"]
+        == state["sizes"]["commit_votes"] + 1
+    )
 
 
 # ------------------------------------------------- batched deployment runs

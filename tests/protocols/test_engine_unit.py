@@ -295,6 +295,39 @@ def test_primary_selector_override():
     assert len(ordered[0]) == 1
 
 
+def test_primary_name_is_cached_per_view():
+    sim, fabric, engines, _ = make_group()
+    engine = engines[1]
+    assert engine.primary_name() == "node0"
+    assert engine.primary_name() is engine.primary_name()  # one string per view
+    assert engine.primary_name(2) == "node2"
+    assert engine.primary_name() == "node0"  # an explicit view re-keys it
+    engine.view = 3
+    assert engine.primary_name() == "node3"
+    assert engine.primary_name(5) == "node1"
+
+
+def test_primary_name_cache_is_bypassed_under_a_mutable_selector():
+    # Spinning's selector consults a blacklist that changes *within* a
+    # view; a cached name would keep pointing at the ousted primary.
+    sim, fabric, engines, _ = make_group()
+    engine = engines[1]
+    assert engine.primary_name() == "node0"  # warm the per-view cache
+    blacklist = set()
+    engine.primary_selector = lambda view: next(
+        i for i in range(view, view + 4) if i % 4 not in blacklist
+    ) % 4
+    assert engine.primary_name() == "node0"
+    blacklist.add(0)
+    assert engine.primary_name() == "node1"  # same view, new answer
+    assert engine.is_primary  # is_primary takes the same bypass
+    blacklist.add(1)
+    assert engine.primary_name() == "node2"
+    assert engine.primary_name(3) == "node3"
+    engine.primary_selector = None
+    assert engine.primary_name() == "node0"  # round-robin again
+
+
 def test_invalid_authenticator_reported_and_dropped():
     sim, fabric, engines, ordered = make_group()
     reported = []

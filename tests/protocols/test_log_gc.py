@@ -25,7 +25,7 @@ from repro.experiments import (
 from repro.protocols.aardvark import AardvarkConfig
 from repro.protocols.base import NodeConfig
 from repro.protocols.pbft.engine import InstanceConfig
-from repro.protocols.pbft.messages import PrePrepare
+from repro.protocols.pbft.messages import Commit, PrePrepare, Prepare
 from repro.protocols.spinning import SpinningConfig
 from repro.trace import K_LOG_SIZE, LogSizeWatch, Tracer, collect_final
 from tests.protocols.test_engine_unit import make_group, request, submit_all
@@ -121,12 +121,50 @@ def test_stabilize_discards_checkpoint_and_viewchange_votes():
     sim.run(until=0.5)
     for engine in engines:
         assert engine.low_watermark >= 12
-        retained = (
-            engine._checkpoint_votes._masks.keys()
-            | engine._checkpoint_votes._complete
-        )
+        retained = engine._checkpoint_votes._masks
         assert all(seq > engine.low_watermark for seq, _ in retained)
         assert all(view > engine.view for view in engine._vc_votes)
+
+
+def test_replayed_votes_below_the_stable_checkpoint_are_not_stored():
+    # A Byzantine replica replays a window of its old PREPARE/COMMIT
+    # votes — and invents some — for sequence numbers the group has
+    # already garbage-collected.  Their slots are gone and a pre-prepare
+    # at or below the floor is refused, so the votes can never matter;
+    # storing them would re-seed per-sequence state until the next GC.
+    sim, fabric, engines, ordered = make_group(checkpoint_interval=4)
+    submit_all(engines, [request(i) for i in range(64)])
+    sim.run(until=0.5)
+    victim = engines[1]
+    floor = victim.low_watermark
+    assert floor >= 12
+    replayed = [
+        msg for msg in fabric.log
+        if msg.sender == "node3"
+        and msg.__class__ in (Prepare, Commit)
+        and msg.seq <= floor
+    ]
+    assert len(replayed) >= 2 * floor  # a genuine window of old votes
+    auth = MacAuthenticator("node3")
+    forged = [
+        cls("node3", 0, victim.view, seq, Digest(("forged", seq)), auth)
+        for seq in range(1, floor + 1)
+        for cls in (Prepare, Commit)
+    ]
+    before = victim.log_sizes()
+    history = list(ordered[1])
+    for msg in replayed + forged:
+        victim.receive(msg)
+    victim.dispatch_batch(replayed + forged)  # and once more, enveloped
+    sim.run(until=0.6)
+    assert victim.log_sizes() == before
+    assert ordered[1] == history
+    # A vote just above the floor is still stored (and collected later).
+    victim.receive(
+        Commit("node3", 0, victim.view, floor + 1, Digest("live"), auth)
+    )
+    sim.run(until=0.7)
+    assert victim.log_sizes()["commit_votes"] == before["commit_votes"] + 1
 
 
 def test_admission_floor_follows_weak_checkpoint_fast_forward():

@@ -28,11 +28,22 @@ MUTANT_PLAN = (
 MUTANT_SEED = 3
 
 
-def break_commit_quorum(deployment):
-    """Lower COMMIT from 2f+1 to f: commit no longer implies quorum."""
+def set_commit_quorum(deployment, quorum=lambda config: config.f):
+    """Re-seat the COMMIT threshold the engine's vote path reads."""
     for node in deployment.nodes:
         for engine in node.engines:
-            engine._commit_votes.threshold = engine.config.f
+            assert engine._commit_quorum == engine.config.commit_quorum
+            engine._commit_quorum = quorum(engine.config)
+
+
+def break_commit_quorum(deployment):
+    """Lower COMMIT from 2f+1 to f: commit no longer implies quorum."""
+    set_commit_quorum(deployment)
+
+
+def restate_commit_quorum(deployment):
+    """The same seat at its stock value 2f+1: a no-op mutation."""
+    set_commit_quorum(deployment, lambda config: 2 * config.f + 1)
 
 
 def test_episode_spec_round_trips_through_json():
@@ -96,8 +107,13 @@ def test_check_replay_detects_digest_drift(tmp_path):
 
 
 def test_stock_engine_survives_the_mutant_plan():
-    result = run_episode(EpisodeSpec(seed=MUTANT_SEED, plan=MUTANT_PLAN))
+    spec = EpisodeSpec(seed=MUTANT_SEED, plan=MUTANT_PLAN)
+    result = run_episode(spec)
     assert result.ok, result.violations
+    # The mutation seat at 2f+1 is the stock engine, digest and all.
+    restated = run_episode(spec, mutate=restate_commit_quorum)
+    assert restated.ok, restated.violations
+    assert restated.digest == result.digest
 
 
 def test_lowered_commit_quorum_is_caught_deterministically():
