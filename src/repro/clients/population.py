@@ -123,15 +123,11 @@ class ClientPopulation:
             client=identity,
             rid=rid,
             payload_size=payload_size if payload_size is not None else self.payload_size,
-            signature=(
-                Signature.for_signer(identity)
-                if signature_valid
-                else Signature(identity, valid=False)
-            ),
-            authenticator=(
-                MacAuthenticator(identity, invalid_for=frozenset(mac_invalid_for))
-                if mac_invalid_for
-                else MacAuthenticator.for_signer(identity)
+            # Per-request tags, not ``for_signer``: an interned tag per
+            # sampled identity would outlive the request (and the run).
+            signature=Signature(identity, signature_valid),
+            authenticator=MacAuthenticator(
+                identity, frozenset(mac_invalid_for) if mac_invalid_for else None
             ),
             exec_cost=exec_cost,
             sent_at=self.sim.now,

@@ -9,8 +9,7 @@ and digest — which is RBFT's optimisation (§IV-B step 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.costmodel import (
@@ -26,10 +25,23 @@ __all__ = ["RequestId", "Request", "RequestIdentifier", "Reply"]
 #: (client id, per-client sequence number) — globally unique.
 RequestId = Tuple[str, int]
 
+_set = object.__setattr__  # how a frozen record fills its derived slots
 
-@dataclass(frozen=True)
+
+def _derived():
+    """A slot that is not a constructor argument, nor part of ==/hash/repr."""
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Request:
-    """A client request as it travels on the wire."""
+    """A client request as it travels on the wire.
+
+    One object rides every hop of every node's pipeline, so it is a flat
+    record: no instance ``__dict__``, the id and wire size derived once
+    at construction, the digest and identifier memoised in slots on
+    first use (every node and every protocol instance shares them).
+    """
 
     client: str
     rid: int
@@ -38,64 +50,67 @@ class Request:
     authenticator: MacAuthenticator
     exec_cost: Optional[float] = None  # overrides the service's default
     sent_at: float = 0.0  # client-side send timestamp (virtual time)
+    request_id: RequestId = _derived()
+    _wire_size: int = _derived()
+    _digest: Optional[Digest] = _derived()
+    _identifier: Optional["RequestIdentifier"] = _derived()
 
-    # cached: the id is read on every hop of every module's pipeline, and
-    # a plain property would allocate a fresh tuple per read (the cache
-    # bypasses the frozen __setattr__ by writing to __dict__ directly).
-    @cached_property
-    def request_id(self) -> RequestId:
-        return (self.client, self.rid)
+    def __post_init__(self):
+        _set(self, "request_id", (self.client, self.rid))
+        _set(
+            self,
+            "_wire_size",
+            MESSAGE_HEADER_SIZE
+            + self.payload_size
+            + SIGNATURE_SIZE
+            + 4 * MAC_SIZE,  # authenticator sized for the f=1 common case
+        )
+        _set(self, "_digest", None)
+        _set(self, "_identifier", None)
 
     def digest(self) -> Digest:
-        # Memoised like ``request_id``: the same Request object travels
-        # the whole simulated network, so every node and every protocol
-        # instance shares one digest (and identifier) construction.
-        digest = self.__dict__.get("_digest")
+        digest = self._digest
         if digest is None:
             digest = Digest(("req", self.client, self.rid))
-            self.__dict__["_digest"] = digest
+            _set(self, "_digest", digest)
         return digest
 
     def identifier(self) -> "RequestIdentifier":
-        identifier = self.__dict__.get("_identifier")
+        identifier = self._identifier
         if identifier is None:
             identifier = RequestIdentifier(self.client, self.rid, self.digest())
-            self.__dict__["_identifier"] = identifier
+            _set(self, "_identifier", identifier)
         return identifier
 
     def wire_size(self) -> int:
         """Bytes on the wire: header + payload + signature + MAC array."""
-        size = self.__dict__.get("_wire_size")
-        if size is None:
-            size = (
-                MESSAGE_HEADER_SIZE
-                + self.payload_size
-                + SIGNATURE_SIZE
-                + 4 * MAC_SIZE  # authenticator sized for the f=1 common case
-            )
-            self.__dict__["_wire_size"] = size
-        return size
+        return self._wire_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestIdentifier:
     """What RBFT instances actually order: (client, rid, digest)."""
 
     client: str
     rid: int
     digest: Digest
-
-    @cached_property
-    def request_id(self) -> RequestId:
-        return (self.client, self.rid)
+    request_id: RequestId = _derived()
 
     #: wire footprint of one identifier inside an ordering message.
     WIRE_SIZE = 16 + DIGEST_SIZE
 
+    def __post_init__(self):
+        _set(self, "request_id", (self.client, self.rid))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Reply:
-    """The result of executing a request, sent node → client (step 6)."""
+    """The result of executing a request, sent node → client (step 6).
+
+    Every node keeps the last one per client identity (its reply
+    cache), so nothing is stored beyond the fields: ``request_id`` is
+    read off the hot path and built on demand.
+    """
 
     node: str
     client: str
@@ -103,6 +118,6 @@ class Reply:
     result: object
     result_size: int = 8
 
-    @cached_property
+    @property
     def request_id(self) -> RequestId:
         return (self.client, self.rid)

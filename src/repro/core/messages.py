@@ -19,15 +19,16 @@ class PropagateMsg(Message):
     PROPAGATE messages guarantee every correct node can obtain it.
     """
 
-    __slots__ = ("request", "authenticator")
+    __slots__ = ("request", "authenticator", "_wire_size")
 
     def __init__(self, sender: str, request: Request, authenticator: MacAuthenticator):
-        super().__init__(sender)
+        self.sender = sender
         self.request = request
         self.authenticator = authenticator
+        self._wire_size = MESSAGE_HEADER_SIZE + request.wire_size() + 4 * MAC_SIZE
 
     def wire_size(self) -> int:
-        return MESSAGE_HEADER_SIZE + self.request.wire_size() + 4 * MAC_SIZE
+        return self._wire_size
 
 
 class InstanceChangeMsg(Message):

@@ -166,7 +166,8 @@ class RBFTNode:
 
         # Execution state ----------------------------------------------------
         self.executed_ids: set = set()
-        self.reply_cache: Dict[str, Tuple[int, Reply]] = {}
+        #: last reply per client identity (the Reply carries its rid).
+        self.reply_cache: Dict[str, Reply] = {}
         self.executed_count = 0
         self.invalid_requests = 0
 
@@ -205,6 +206,7 @@ class RBFTNode:
         # immutable, so one interned instance signs every outbound
         # message; routing is pre-bound per message class.
         self._auth = MacAuthenticator.for_signer(self.name)
+        self._reply_mac = Mac(self.name)
         self._auth_rx_costs: Dict[int, float] = {}
         self._sig_verify_costs: Dict[int, float] = {}
         self._propagate_tx_costs: Dict[int, float] = {}
@@ -602,19 +604,19 @@ class RBFTNode:
                 rid=request.rid,
             )
         reply = Reply(self.name, request.client, request.rid, result, result_size)
-        self.reply_cache[request.client] = (request.rid, reply)
+        self.reply_cache[request.client] = reply
         self._send_reply(reply)
         self.request_store.pop(request.request_id, None)
 
     def _send_reply(self, reply: Reply) -> None:
         channel = self.machine.channel_to_client(reply.client)
         if channel is not None:
-            channel.send(ReplyMsg(reply, Mac(self.name)))
+            channel.send(ReplyMsg(reply, self._reply_mac))
 
     def _resend_reply(self, request: Request) -> None:
         cached = self.reply_cache.get(request.client)
-        if cached is not None and cached[0] == request.rid:
-            self._send_reply(cached[1])
+        if cached is not None and cached.rid == request.rid:
+            self._send_reply(cached)
 
     # ------------------------------------------------ Instance change (§IV-D)
     def _on_monitor_trigger(self, reason: str) -> None:

@@ -46,7 +46,7 @@ class Digest:
         return "Digest(%r)" % (self.token,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mac:
     """A MAC from ``signer`` for a single recipient."""
 
@@ -54,7 +54,7 @@ class Mac:
     valid: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacAuthenticator:
     """An array of per-node MACs (one per recipient, §II).
 
@@ -84,6 +84,10 @@ class MacAuthenticator:
         Authenticators are immutable and compare structurally, so the
         common case — one valid tag per outgoing message — can share a
         single instance per sender instead of allocating per message.
+        The table never shrinks, so this is for *cluster principals*
+        (nodes, exploded clients) only: a sampled population identity
+        gets a plain ``MacAuthenticator(identity)`` that dies with its
+        request.
         """
         auth = _VALID_AUTHENTICATORS.get(signer)
         if auth is None:
@@ -94,11 +98,12 @@ class MacAuthenticator:
         return self.invalid_for is None or "*" not in self.invalid_for
 
 
-#: interned valid-for-everyone authenticators, keyed by signer name.
+#: interned valid-for-everyone authenticators, keyed by signer name;
+#: bounded by the principals of the largest cluster built in the process.
 _VALID_AUTHENTICATORS: Dict[str, MacAuthenticator] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A public-key signature by ``signer``.
 

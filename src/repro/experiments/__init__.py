@@ -1,4 +1,9 @@
-"""Experiment harness: one runner per table/figure of the paper."""
+"""Experiment harness: one runner per table/figure of the paper.
+
+What a scenario needs to run is imported eagerly; the bench, smoke,
+soak and profiling harnesses resolve on first use, so running a
+scenario does not pay for importing them.
+"""
 
 from repro.clients import Workload
 
@@ -24,23 +29,11 @@ from .runner import (
     table1,
     unfair_primary_run,
 )
-from .kernelbench import check_regression, run_kernel_bench, write_kernel_bench
 from .meso import MesoConfig
-from .mesobench import run_meso_bench, write_meso_bench
 from .parallel import RunSpec, execute_specs, execute_tasks, resolve_jobs
-from .profiling import profile_report, profile_run
-from .protocolbench import run_protocol_bench, write_protocol_bench
 from .scale import FULL, QUICK, SMOKE, ScenarioScale, current_scale
-from .scalebench import run_scale_bench, write_scale_bench
 from .scenario import Scenario, run
-from .smoke import check_bounds, run_smoke, write_smoke
-from .soak import check_soak, run_soak, write_soak
 from .stats import SweepResult, seed_sweep
-from .workloadbench import (
-    check_workload,
-    run_workload_bench,
-    write_workload_bench,
-)
 
 __all__ = [
     "Scenario",
@@ -97,3 +90,45 @@ __all__ = [
     "SweepResult",
     "seed_sweep",
 ]
+
+#: harness names resolved lazily (PEP 562): name -> defining submodule.
+_LAZY = {
+    "check_regression": "kernelbench",
+    "run_kernel_bench": "kernelbench",
+    "write_kernel_bench": "kernelbench",
+    "run_meso_bench": "mesobench",
+    "write_meso_bench": "mesobench",
+    "profile_report": "profiling",
+    "profile_run": "profiling",
+    "run_protocol_bench": "protocolbench",
+    "write_protocol_bench": "protocolbench",
+    "run_scale_bench": "scalebench",
+    "write_scale_bench": "scalebench",
+    "check_bounds": "smoke",
+    "run_smoke": "smoke",
+    "write_smoke": "smoke",
+    "check_soak": "soak",
+    "run_soak": "soak",
+    "write_soak": "soak",
+    "check_workload": "workloadbench",
+    "run_workload_bench": "workloadbench",
+    "write_workload_bench": "workloadbench",
+}
+
+
+def __getattr__(name):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module("." + module_name, __name__), name)
+    globals()[name] = value  # cache: subsequent accesses skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -39,7 +39,7 @@ class ClientRequestMsg(Message):
     __slots__ = ("request",)
 
     def __init__(self, request: Request):
-        super().__init__(request.client)
+        self.sender = request.client
         self.request = request
 
     def wire_size(self) -> int:
@@ -52,7 +52,7 @@ class ReplyMsg(Message):
     __slots__ = ("reply", "mac")
 
     def __init__(self, reply: Reply, mac: Mac):
-        super().__init__(reply.node)
+        self.sender = reply.node
         self.reply = reply
         self.mac = mac
 
@@ -109,7 +109,9 @@ class BftNode:
         )
         self.blacklist = ClientBlacklist()
         self.executed_ids = set()
-        self.reply_cache: Dict[str, Tuple[int, Reply]] = {}
+        #: last reply per client identity (the Reply carries its rid).
+        self.reply_cache: Dict[str, Reply] = {}
+        self._reply_mac = Mac(self.name)
         self.executed_count = 0
         self.invalid_requests = 0
         machine.handler = self.on_network_message
@@ -193,7 +195,7 @@ class BftNode:
         result, result_size = self.service.apply(request)
         self.executed_count += 1
         reply = Reply(self.name, request.client, request.rid, result, result_size)
-        self.reply_cache[request.client] = (request.rid, reply)
+        self.reply_cache[request.client] = reply
         self._send_reply(reply)
         self.on_executed(request)
 
@@ -203,12 +205,12 @@ class BftNode:
     def _send_reply(self, reply: Reply) -> None:
         channel = self.machine.channel_to_client(reply.client)
         if channel is not None:
-            channel.send(ReplyMsg(reply, Mac(self.name)))
+            channel.send(ReplyMsg(reply, self._reply_mac))
 
     def _resend_reply(self, request: Request) -> None:
         cached = self.reply_cache.get(request.client)
-        if cached is not None and cached[0] == request.rid:
-            self._send_reply(cached[1])
+        if cached is not None and cached.rid == request.rid:
+            self._send_reply(cached)
 
     # ----------------------------------------------------------- inspection
     @property

@@ -111,6 +111,7 @@ class PrimeNode:
         self._ordered_vectors: Dict[int, Dict[str, int]] = {}
         self._held_orders: List[PrimeOrder] = []
         self.executed_ids: set = set()
+        self._reply_mac = Mac(self.name)
         self.executed_count = 0
         self.invalid_requests = 0
         self._orphan_watch: Dict = {}  # request_id -> (request, seen_at)
@@ -470,7 +471,7 @@ class PrimeNode:
         reply = Reply(self.name, request.client, request.rid, result, result_size)
         channel = self.machine.channel_to_client(request.client)
         if channel is not None:
-            channel.send(ReplyMsg(reply, Mac(self.name)))
+            channel.send(ReplyMsg(reply, self._reply_mac))
 
     # ------------------------------------------------------------ monitoring
     def acceptable_order_delay(self) -> float:

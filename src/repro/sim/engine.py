@@ -47,6 +47,7 @@ per-entry loop.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -405,6 +406,11 @@ class Simulator:
         push = heapq.heappush
         limit = until if until is not None else float("inf")
         count = self.dispatched
+        # Everything alive now — the static deployment: channels, NICs,
+        # engines — outlives the loop, so full collections need not
+        # re-traverse it on every pass; unfrozen again on the way out so
+        # nothing stays exempt across runs in a long-lived process.
+        gc.freeze()
         try:
             if tracing:
                 while heap:
@@ -463,6 +469,7 @@ class Simulator:
                     else:
                         entry[2](*args)
         finally:
+            gc.unfreeze()
             self._running = False
             self.dispatched = count
         if until is not None and self.now < until:

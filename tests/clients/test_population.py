@@ -235,3 +235,64 @@ def test_load_generator_uniform_population_samples_identities():
     # 1000 identities, ~500 draws: far more distinct ids than the
     # 10-wide paced window could ever produce.
     assert len(population.identities_seen) > 100
+
+
+def test_sampled_identities_are_not_interned():
+    """Regression: the ``for_signer`` tables hold cluster principals only.
+
+    Population requests used to intern one authenticator and one
+    signature per sampled identity into module-global tables that
+    outlive the run, so a process running many population scenarios
+    grew without bound.
+    """
+    from repro.crypto import primitives
+
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(f=1))
+    population = ClientPopulation(cluster, size=1_000_000)
+    tables = (primitives._VALID_AUTHENTICATORS, primitives._VALID_SIGNATURES)
+    before = [len(table) for table in tables]
+    for index in range(10_000):
+        request = population.send_request(index=index)
+    assert request.signature.valid and request.authenticator.valid_for("node0")
+    principals = len(cluster.machines) + len(cluster.clients)
+    for table, size in zip(tables, before):
+        assert len(table) - size <= principals
+        assert not any("#" in signer for signer in table)
+
+
+def test_per_identity_memory_budget():
+    """What one fresh client identity costs an n = 4 deployment.
+
+    Every node keeps per-client state (last reply, executed ids), so
+    bytes per identity decide how far a population run reaches.  4 800
+    identities (just below the point where the per-node sets next
+    quadruple) read 1 867 traced peak bytes each with dict-backed
+    replies, a ``(rid, reply)`` cache tuple and interned per-identity
+    tags (1 650 when an earlier test had already interned the tags),
+    1 256 with flat records; the ceiling sits between the two.
+    """
+    import tracemalloc
+
+    from repro.experiments import build_rbft
+
+    identities, gap = 4800, 1e-4
+    dep = build_rbft(
+        n_clients=0,
+        clients_factory=lambda cluster, payload: ClientPopulation(
+            cluster, size=1_000_000, payload_size=payload
+        ),
+    )
+    population = dep.population
+    for index in range(identities):
+        dep.sim.call_at(index * gap, population.send_request, index)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        dep.sim.run(until=identities * gap + 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert population.completed == identities
+    assert len(population.identities_seen) == identities
+    assert (peak - before) / identities <= 1450

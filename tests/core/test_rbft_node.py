@@ -218,17 +218,59 @@ def test_udp_deployment_works():
     assert all(node.executed_count == 10 for node in dep.nodes)
 
 
-def test_duplicate_request_answered_from_reply_cache():
-    dep = build_rbft(small_config(), n_clients=1)
-    client = dep.clients[0]
-    request = client.send_request()
-    dep.sim.run(until=0.3)
-    assert client.completed == 1
+def check_duplicate_answered_from_reply_cache(sim, nodes, client):
+    """A retransmitted request is answered from the per-client cache."""
+    from repro.common import Reply
+    from repro.crypto import Mac
     from repro.protocols.base import ClientRequestMsg
 
-    client.port.broadcast(ClientRequestMsg(request))
-    dep.sim.run(until=0.6)
-    assert all(node.executed_count == 1 for node in dep.nodes)
+    replies = []
+    deliver = client.port.handler
+
+    def spy(msg):
+        replies.append(msg)
+        deliver(msg)
+
+    client.port.handler = spy
+    first = client.send_request()
+    sim.run(until=0.3)
+    assert client.completed == 1 and len(replies) == len(nodes)
+    # One flat record per client identity: the cache holds the Reply itself.
+    for node in nodes:
+        assert node.reply_cache == {
+            client.name: Reply(node.name, client.name, first.rid, "ok", 8)
+        }
+
+    client.port.broadcast(ClientRequestMsg(first))
+    sim.run(until=0.6)
+    assert all(node.executed_count == 1 for node in nodes)
+    resent = replies[len(nodes):]
+    assert sorted(msg.sender for msg in resent) == sorted(n.name for n in nodes)
+    for msg in resent:
+        assert msg.mac == Mac(msg.sender)
+        assert any(msg.reply is node.reply_cache[client.name] for node in nodes)
+
+    # Only the *last* reply is cached: once a newer request executed, a
+    # retransmission of the older one is dropped without an answer.
+    client.send_request()
+    sim.run(until=0.9)
+    assert client.completed == 2 and len(replies) == 3 * len(nodes)
+    client.port.broadcast(ClientRequestMsg(first))
+    sim.run(until=1.2)
+    assert len(replies) == 3 * len(nodes)
+    assert all(node.executed_count == 2 for node in nodes)
+
+
+def test_duplicate_request_answered_from_reply_cache():
+    dep = build_rbft(small_config(), n_clients=1)
+    check_duplicate_answered_from_reply_cache(dep.sim, dep.nodes, dep.clients[0])
+
+
+def test_duplicate_request_answered_from_reply_cache_by_bft_node():
+    from tests.helpers import build_pbft
+
+    sim, _, nodes, clients = build_pbft(clients=1)
+    check_duplicate_answered_from_reply_cache(sim, nodes, clients[0])
 
 
 def test_f2_deployment_executes_requests():

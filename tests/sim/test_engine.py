@@ -375,3 +375,27 @@ def test_handle_cancel_between_run_segments():
     handle.cancel()
     sim.run()
     assert fired == ["kept"]
+
+
+def test_run_freezes_the_deployment_and_always_unfreezes():
+    import gc
+
+    assert gc.get_freeze_count() == 0
+    sim = Simulator()
+    seen = []
+    sim.call_after(1.0, lambda: seen.append(gc.get_freeze_count()))
+    sim.run()
+    # Inside the loop what existed at entry is exempt from collection...
+    assert seen[0] > 0
+    # ...and nothing stays exempt afterwards, even when a callback raised.
+    assert gc.get_freeze_count() == 0
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.call_after(1.0, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert gc.get_freeze_count() == 0
+    sim.run(until=5.0)  # and the simulator is usable again
+    assert sim.now == 5.0

@@ -127,3 +127,33 @@ def test_scenario_is_hashable_and_picklable():
         repro.Scenario(protocol="rbft", workload=workload)
     )
     assert pickle.loads(pickle.dumps(scenario)) == scenario
+
+
+def test_experiments_import_defers_the_bench_harnesses():
+    # Running a scenario must not pay for importing the harnesses: they
+    # resolve on first use (a fresh interpreter, so no earlier test's
+    # imports are visible).
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys; sys.path.insert(0, %r)\n" % src
+        + "import repro.experiments as e\n"
+        "lazy = set(e._LAZY.values()) | {'benchutil'}\n"
+        "assert len(lazy) == 9, sorted(lazy)\n"
+        "loaded = {m.rpartition('.')[2] for m in sys.modules\n"
+        "          if m.startswith('repro.experiments.')}\n"
+        "assert not loaded & lazy, sorted(loaded & lazy)\n"
+        "assert set(e.__all__) <= set(dir(e))\n"
+        "from repro.experiments import run_smoke, write_soak\n"
+        "assert e.run_smoke is sys.modules['repro.experiments.smoke'].run_smoke\n"
+        "try:\n"
+        "    e.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('expected AttributeError')\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
