@@ -1,8 +1,9 @@
 """Experiment harness: one runner per table/figure of the paper.
 
-What a scenario needs to run is imported eagerly; the bench, smoke,
-soak and profiling harnesses resolve on first use, so running a
-scenario does not pay for importing them.
+What a scenario needs to run is imported eagerly; the profiling harness
+resolves on first use, so running a scenario does not pay for importing
+it.  What a change *costs* is measured by the perf ledger under
+``bench/`` (``BENCHMARK.json``), not from here.
 """
 
 from repro.clients import Workload
@@ -24,8 +25,6 @@ from .runner import (
     monitoring_view,
     probe_capacity,
     relative_throughput,
-    run_dynamic,
-    run_static,
     table1,
     unfair_primary_run,
 )
@@ -53,8 +52,6 @@ __all__ = [
     "monitoring_view",
     "probe_capacity",
     "relative_throughput",
-    "run_dynamic",
-    "run_static",
     "table1",
     "unfair_primary_run",
     "FULL",
@@ -64,25 +61,7 @@ __all__ = [
     "current_scale",
     "profile_report",
     "profile_run",
-    "run_smoke",
-    "check_bounds",
-    "write_smoke",
-    "run_soak",
-    "check_soak",
-    "write_soak",
-    "run_kernel_bench",
-    "check_regression",
-    "write_kernel_bench",
-    "run_protocol_bench",
-    "write_protocol_bench",
-    "run_scale_bench",
-    "write_scale_bench",
-    "run_workload_bench",
-    "check_workload",
-    "write_workload_bench",
     "MesoConfig",
-    "run_meso_bench",
-    "write_meso_bench",
     "RunSpec",
     "execute_specs",
     "execute_tasks",
@@ -91,28 +70,10 @@ __all__ = [
     "seed_sweep",
 ]
 
-#: harness names resolved lazily (PEP 562): name -> defining submodule.
+#: names resolved lazily (PEP 562): name -> defining submodule.
 _LAZY = {
-    "check_regression": "kernelbench",
-    "run_kernel_bench": "kernelbench",
-    "write_kernel_bench": "kernelbench",
-    "run_meso_bench": "mesobench",
-    "write_meso_bench": "mesobench",
     "profile_report": "profiling",
     "profile_run": "profiling",
-    "run_protocol_bench": "protocolbench",
-    "write_protocol_bench": "protocolbench",
-    "run_scale_bench": "scalebench",
-    "write_scale_bench": "scalebench",
-    "check_bounds": "smoke",
-    "run_smoke": "smoke",
-    "write_smoke": "smoke",
-    "check_soak": "soak",
-    "run_soak": "soak",
-    "write_soak": "soak",
-    "check_workload": "workloadbench",
-    "run_workload_bench": "workloadbench",
-    "write_workload_bench": "workloadbench",
 }
 
 

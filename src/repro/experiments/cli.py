@@ -9,24 +9,19 @@ Examples::
     python -m repro.experiments fig12
     RBFT_FULL=1 python -m repro.experiments fig2   # full-scale sweep
 
-Beyond the paper's figures, three instrumentation commands::
+Beyond the paper's figures, one instrumentation command (what a change
+*costs* on the host is the perf ledger's job: ``python3 bench/run.py``,
+see ``bench/README.md``)::
 
     python -m repro.experiments profile fig8       # per-core bottleneck report
     python -m repro.experiments profile fig7 --trace-out fig7.trace.jsonl
-    python -m repro.experiments smoke              # CI gate: BENCH_smoke.json
-    python -m repro.experiments soak               # CI gate: BENCH_soak.json
-    python -m repro.experiments bench kernel       # kernel dispatch benchmark
-    python -m repro.experiments bench protocol     # protocol hot-path benchmark
-    python -m repro.experiments bench meso         # mesoscale speed+accuracy gate
-    python -m repro.experiments bench scale        # kreq/s-vs-n scale-out curve
-    python -m repro.experiments bench workload     # million-client pack gate
 
 Traffic models are first-class: ``workloads`` lists the registered
 packs and ``run`` drives one scenario with any of them::
 
     python -m repro.experiments workloads
     python -m repro.experiments run --workload diurnal --clients 1000000
-    python -m repro.experiments smoke --workload flash-crowd
+    python -m repro.experiments run --workload flash-crowd --rate 4000
 
 Sweeps fan out across worker processes: ``--jobs N`` (or the
 ``REPRO_JOBS`` environment variable) sets the worker count, default
@@ -43,11 +38,11 @@ Verification commands (see ``docs/testing.md``)::
 Exit codes are distinct so a CI job log alone tells you *what* failed:
 
 * ``0`` — success;
-* ``1`` — a gate failed: an invariant violation, a replay digest
-  mismatch, or a benchmark regression (the command ran fine and is
-  reporting a genuine finding);
+* ``1`` — a gate failed: an invariant violation or a replay digest
+  mismatch (the command ran fine and is reporting a genuine finding);
 * ``2`` — a usage error: unknown flags or subcommands (argparse),
-  unknown protocol/strategy names, or unreadable/malformed artifacts.
+  unknown protocol/workload/strategy names, invalid values, or
+  unreadable/malformed artifacts.
 """
 
 from __future__ import annotations
@@ -226,10 +221,12 @@ def _cmd_run(args) -> int:
             scale=current_scale(),
             duration=args.duration,
         )
+        # Unknown protocol names and invalid cluster parameters surface
+        # when the deployment is built, inside run().
+        result = run(scenario)
     except ValueError as exc:
         print("run: %s" % exc, file=sys.stderr)
         return EX_USAGE
-    result = run(scenario)
     print(
         "%s %s: %d declared clients | offered %.0f req/s | executed "
         "%.0f req/s | %d completed | mean latency %.2f ms | p99 %.2f ms"
@@ -253,82 +250,6 @@ def _cmd_profile(args) -> int:
         trace_out=args.trace_out,
     ))
     return 0
-
-
-def _cmd_smoke(args) -> int:
-    from .smoke import write_smoke
-
-    return write_smoke(
-        output=args.output, seed=args.seed, jobs=args.jobs,
-        workload=args.workload,
-    )
-
-
-def _cmd_soak(args) -> int:
-    from .soak import write_soak
-
-    return write_soak(
-        output=args.output, seed=args.seed, workload=args.workload
-    )
-
-
-def _cmd_bench(args) -> int:
-    if args.what == "scale":
-        from .scalebench import (
-            DEFAULT_BASELINE_PATH as scale_baseline,
-            write_scale_bench,
-        )
-
-        # The ladder reaches n = 148; one pass is minutes of wall clock,
-        # so default to a single repeat instead of the microbenchmarks' 3.
-        return write_scale_bench(
-            output=args.output or "BENCH_scale.json",
-            baseline_path=args.baseline or scale_baseline,
-            repeat=args.repeat if args.repeat is not None else 1,
-            check=args.check,
-        )
-    if args.what == "meso":
-        from .mesobench import (
-            DEFAULT_BASELINE_PATH as meso_baseline,
-            write_meso_bench,
-        )
-
-        return write_meso_bench(
-            output=args.output or "BENCH_meso.json",
-            baseline_path=args.baseline or meso_baseline,
-            repeat=args.repeat if args.repeat is not None else 3,
-            check=args.check,
-        )
-    if args.what == "protocol":
-        from .protocolbench import (
-            DEFAULT_BASELINE_PATH as protocol_baseline,
-            write_protocol_bench,
-        )
-
-        return write_protocol_bench(
-            output=args.output or "BENCH_protocol.json",
-            baseline_path=args.baseline or protocol_baseline,
-            repeat=args.repeat if args.repeat is not None else 3,
-            check=args.check,
-        )
-    if args.what == "workload":
-        from .workloadbench import write_workload_bench
-
-        return write_workload_bench(
-            output=args.output or "BENCH_workload.json",
-            check=args.check,
-        )
-    from .kernelbench import (
-        DEFAULT_BASELINE_PATH as kernel_baseline,
-        write_kernel_bench,
-    )
-
-    return write_kernel_bench(
-        output=args.output or "BENCH_kernel.json",
-        baseline_path=args.baseline or kernel_baseline,
-        repeat=args.repeat if args.repeat is not None else 3,
-        check=args.check,
-    )
 
 
 def _cmd_explore(args) -> int:
@@ -563,59 +484,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     profile.add_argument("--trace-out", default=None, metavar="PATH",
                          help="also export the raw trace as JSON lines")
 
-    smoke = sub.add_parser(
-        "smoke",
-        help="fast fig7+fig8 subset; writes BENCH_smoke.json (CI gate)",
-    )
-    smoke.add_argument("--output", default="BENCH_smoke.json",
-                       help="where to write the benchmark artifact")
-    smoke.add_argument("--seed", type=int, default=0,
-                       help="experiment seed")
-    smoke.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: REPRO_JOBS or "
-                       "cpu_count()-1; 1 = serial)")
-    smoke.add_argument("--workload", default=None,
-                       help="swap the smoke points' traffic shape for a "
-                       "registered workload pack (default: static)")
-
-    soak = sub.add_parser(
-        "soak",
-        help="10x-horizon bounded-memory run; writes BENCH_soak.json "
-        "(CI gate)",
-    )
-    soak.add_argument("--output", default="BENCH_soak.json",
-                      help="where to write the benchmark artifact")
-    soak.add_argument("--seed", type=int, default=0,
-                      help="experiment seed")
-    soak.add_argument("--workload", default=None,
-                      help="swap the main soak point's traffic shape for a "
-                      "registered workload pack (default: static)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="microbenchmarks; `bench kernel` writes BENCH_kernel.json, "
-        "`bench protocol` writes BENCH_protocol.json, `bench meso` "
-        "writes BENCH_meso.json (meso speed + accuracy gate), `bench "
-        "scale` writes BENCH_scale.json (kreq/s-vs-n curve per protocol)",
-    )
-    bench.add_argument("what",
-                       choices=["kernel", "protocol", "meso", "scale",
-                                "workload"],
-                       help="which benchmark to run")
-    bench.add_argument("--output", default=None,
-                       help="where to write the benchmark artifact "
-                       "(default: BENCH_<what>.json)")
-    bench.add_argument("--baseline", default=None,
-                       help="reference baseline JSON for the speedup "
-                       "(default: benchmarks/<what>_baseline.json)")
-    bench.add_argument("--repeat", type=int, default=None,
-                       help="repetitions per workload, best wall kept "
-                       "(default: 3; `bench scale` defaults to 1)")
-    bench.add_argument("--check", action="store_true",
-                       help="fail (exit 1) when events/sec regresses below "
-                       "the baseline floor (meso: also when accuracy drifts "
-                       "past its documented tolerances)")
-
     explore = sub.add_parser(
         "explore",
         help="run seeded fault-space episodes with online invariants, "
@@ -667,12 +535,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "smoke":
-        return _cmd_smoke(args)
-    if args.command == "soak":
-        return _cmd_soak(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "explore":
         return _cmd_explore(args)
     if args.command == "check":

@@ -55,15 +55,12 @@ class RunSpec:
 
     * ``"probe"`` — :func:`~repro.experiments.runner.probe_capacity`,
       returns the capacity in requests/second;
-    * ``"static"`` — :func:`~repro.experiments.runner.run_static`
-      (``rate=None`` means "1.25 × probed capacity", as usual);
-    * ``"dynamic"`` — :func:`~repro.experiments.runner.run_dynamic`
-      (``rate`` is the per-client rate, ``None`` probes);
+    * ``"static"`` — one saturating static-workload run (``rate=None``
+      means "1.25 × probed capacity", as usual);
+    * ``"dynamic"`` — one spike-workload run, §VI-A (``rate`` is the
+      per-client rate, ``None`` probes);
     * ``"curve-point"`` — one fixed-rate latency/throughput measurement
-      (fig 7), with explicit ``duration``/``warmup``;
-    * ``"workload"`` — one run of a named registry workload pack
-      (``workload``/``n_clients`` select the pack and declared
-      population; population aggregation follows the pack's defaults).
+      (fig 7), with explicit ``duration``/``warmup``.
     """
 
     kind: str
@@ -77,10 +74,6 @@ class RunSpec:
     scale: Optional[ScenarioScale] = None
     duration: Optional[float] = None
     warmup: Optional[float] = None
-    #: registry pack name for ``kind="workload"`` specs.
-    workload: Optional[str] = None
-    #: declared client count for ``kind="workload"`` specs.
-    n_clients: Optional[int] = None
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -125,17 +118,6 @@ def _execute_spec(spec: RunSpec):
             protocol=spec.protocol, payload=spec.payload,
             workload=Workload("static", rate=spec.rate, population=False),
             f=spec.f, seed=spec.seed,
-            exec_cost=spec.exec_cost, scale=spec.scale,
-            duration=spec.duration, warmup=spec.warmup,
-        ))
-    if spec.kind == "workload":
-        return run_scenario(Scenario(
-            protocol=spec.protocol, payload=spec.payload,
-            workload=Workload(
-                spec.workload or "static", rate=spec.rate,
-                clients=spec.n_clients,
-            ),
-            attack=spec.attack, f=spec.f, seed=spec.seed,
             exec_cost=spec.exec_cost, scale=spec.scale,
             duration=spec.duration, warmup=spec.warmup,
         ))

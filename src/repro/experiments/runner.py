@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -44,8 +43,6 @@ __all__ = [
     "RunResult",
     "make_deployment",
     "probe_capacity",
-    "run_static",
-    "run_dynamic",
     "relative_throughput",
     "attack_sweep",
     "latency_throughput_curve",
@@ -331,63 +328,6 @@ def _attack_for(protocol: str, attack: Optional[str]) -> Optional[str]:
     if attack == "default":
         return protocol if protocol in ATTACK_INSTALLERS else None
     return attack
-
-
-def _deprecated_shim(name: str) -> None:
-    warnings.warn(
-        "%s() is deprecated; use repro.experiments.run(Scenario(...)) "
-        "instead" % name,
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_static(
-    protocol: str,
-    payload: int = 8,
-    rate: Optional[float] = None,
-    scale: Optional[ScenarioScale] = None,
-    attack: Optional[str] = None,
-    f: int = 1,
-    seed: int = 0,
-    exec_cost: float = 20e-6,
-) -> RunResult:
-    """Deprecated shim: one saturating static-load run.
-
-    Use ``run(Scenario(protocol=..., load="static", ...))`` instead.
-    """
-    from .scenario import Scenario, run
-
-    _deprecated_shim("run_static")
-    return run(Scenario(
-        protocol=protocol, payload=payload,
-        workload=Workload("static", rate=rate, population=False),
-        attack=attack, f=f, seed=seed, exec_cost=exec_cost, scale=scale,
-    ))
-
-
-def run_dynamic(
-    protocol: str,
-    payload: int = 8,
-    per_client_rate: Optional[float] = None,
-    scale: Optional[ScenarioScale] = None,
-    attack: Optional[str] = None,
-    f: int = 1,
-    seed: int = 0,
-    exec_cost: float = 20e-6,
-) -> RunResult:
-    """Deprecated shim: one spike-workload run (§VI-A).
-
-    Use ``run(Scenario(protocol=..., load="dynamic", ...))`` instead.
-    """
-    from .scenario import Scenario, run
-
-    _deprecated_shim("run_dynamic")
-    return run(Scenario(
-        protocol=protocol, payload=payload,
-        workload=Workload("spike", rate=per_client_rate, population=False),
-        attack=attack, f=f, seed=seed, exec_cost=exec_cost, scale=scale,
-    ))
 
 
 def relative_throughput(

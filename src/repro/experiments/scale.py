@@ -11,10 +11,10 @@ Both scales exercise identical code paths; only durations, sweep density
 and monitoring cadences change.
 
 A third scale, **SMOKE**, is not selectable via the environment: it is
-the fixed contract of ``python -m repro.experiments smoke`` (the CI
-benchmark gate), kept deliberately tiny so every push pays seconds, not
-minutes, and kept *stable* so ``BENCH_smoke.json`` files are comparable
-across commits.
+the fixed scale of the tier-1 scenario tests, the ``profile`` command
+and the perf ledger's ``ladder_n100``/``diurnal_1m`` workloads, kept
+deliberately tiny so every push pays seconds, not minutes, and kept
+*stable* so seeded counts are comparable across commits.
 """
 
 from __future__ import annotations

@@ -24,15 +24,12 @@ are deterministic given the scenario: two calls with the same value
 produce byte-identical :class:`~repro.experiments.runner.RunResult`\\ s
 (and identical ``repro.verify`` invariant digests).
 
-This is the **only** run path the experiment modules use internally;
-the legacy ``load``/``rate``/``n_clients`` scenario fields (and the
-``run_static``/``run_dynamic`` functions) are deprecated shims that
-fold into a :class:`Workload` and delegate here.
+This is the **only** run path: every figure runner, sweep and
+verification episode goes through :func:`run`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -44,9 +41,6 @@ from repro.net.topology import Topology
 from .scale import ScenarioScale, current_scale
 
 __all__ = ["Scenario", "run"]
-
-#: legacy load-profile shapes the deprecated ``load`` field accepts.
-_LOADS = ("static", "dynamic")
 
 #: execution modes a scenario can request.
 _MODES = ("exact", "meso")
@@ -67,18 +61,10 @@ class Scenario:
     steady clients).  Probes always measure the **flat LAN**, so
     topology scenarios must carry an explicit rate (enforced with a
     ``ValueError``).
-
-    The ``load``/``rate``/``n_clients`` fields are deprecated: they
-    fold into an equivalent :class:`Workload` with a
-    ``DeprecationWarning``.
     """
 
     protocol: str
     payload: int = 8
-    #: deprecated — use ``workload=Workload(shape)`` instead.
-    load: Optional[str] = None
-    #: deprecated — use ``workload=Workload(rate=...)`` instead.
-    rate: Optional[float] = None
     attack: Optional[str] = None
     f: int = 1
     seed: int = 0
@@ -88,8 +74,6 @@ class Scenario:
     #: geo-distributed layout (see :mod:`repro.net.topology`); ``None``
     #: keeps the flat Gigabit LAN of the paper's testbed.
     topology: Optional[Topology] = None
-    #: deprecated — use ``workload=Workload(clients=...)`` instead.
-    n_clients: Optional[int] = None
     #: measurement-window overrides; None uses the scale's values
     #: (whole-run workloads — spike, diurnal, flash-crowd — always
     #: measure the whole run, as in §VI-A).
@@ -97,7 +81,7 @@ class Scenario:
     warmup: Optional[float] = None
     #: attach a ``pbft.log-size`` gauge watch and report the peak
     #: per-instance protocol-log size in ``RunResult.peak_log_size``
-    #: (the soak harness's bounded-memory assertion).  Tracing stays
+    #: (what the bounded-memory tests assert on).  Tracing stays
     #: off — and the result byte-identical — when False.
     track_log_sizes: bool = False
     #: execution mode: "exact" (the default — every event simulated,
@@ -118,43 +102,7 @@ class Scenario:
                 "unknown mode %r (expected one of %s)" % (self.mode, _MODES)
             )
         workload = self.workload
-        if (
-            self.load is not None
-            or self.rate is not None
-            or self.n_clients is not None
-        ):
-            if workload is not None:
-                raise ValueError(
-                    "pass either workload=... or the deprecated "
-                    "load/rate/n_clients fields, not both"
-                )
-            load = "static" if self.load is None else self.load
-            if load not in _LOADS:
-                raise ValueError(
-                    "unknown load %r (expected one of %s)" % (load, _LOADS)
-                )
-            warnings.warn(
-                "Scenario's load/rate/n_clients fields are deprecated; "
-                "pass workload=Workload(%r, rate=..., clients=...) instead"
-                % ("spike" if load == "dynamic" else "static",),
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            workload = Workload(
-                shape="spike" if load == "dynamic" else "static",
-                rate=self.rate,
-                clients=self.n_clients,
-                # The legacy fields always exploded real client objects,
-                # whatever the count — keep that behaviour bit-for-bit.
-                population=False,
-            )
-            # Fold the shim fields away so equality, hashing and
-            # re-normalisation (pickle, ``with_``) see one canonical
-            # form and never re-warn.
-            object.__setattr__(self, "load", None)
-            object.__setattr__(self, "rate", None)
-            object.__setattr__(self, "n_clients", None)
-        elif workload is None:
+        if workload is None:
             workload = Workload()
         elif isinstance(workload, str):
             workload = Workload(shape=workload)

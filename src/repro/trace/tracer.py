@@ -25,7 +25,7 @@ Design rules, in priority order:
 
 3. **Round-trippable.**  :func:`export_jsonl` / :func:`load_jsonl`
    serialize any event iterable losslessly, so traces can be archived
-   next to ``BENCH_*.json`` artifacts and re-profiled offline.
+   as CI artifacts and re-profiled offline.
 """
 
 from __future__ import annotations

@@ -3,16 +3,18 @@
 A :class:`ClientPopulation` must be indistinguishable, from the
 protocol side, from a pool of exploded clients: per-identity ids,
 signatures and MACs; reply quorums per request; reply routing back to
-the owner port.  These tests pin that contract at the unit level — the
-scenario-level equivalence lives in ``bench workload``.
+the owner port.  These tests pin that contract at the unit level and,
+in ``test_population_matches_exploded_clients``, for whole scenarios on
+every protocol family.
 """
 
 import pytest
 
-from repro.clients import ClientPopulation, LoadGenerator
+from repro.clients import ClientPopulation, LoadGenerator, Workload
 from repro.clients.registry import build_profile
 from repro.common import Cluster, ClusterConfig, Reply
 from repro.crypto import Mac, principal_owner
+from repro.experiments import SMOKE, Scenario, run
 from repro.protocols.base import ReplyMsg
 from repro.sim import RngTree, Simulator
 
@@ -235,6 +237,44 @@ def test_load_generator_uniform_population_samples_identities():
     # 1000 identities, ~500 draws: far more distinct ids than the
     # 10-wide paced window could ever produce.
     assert len(population.identities_seen) > 100
+
+
+@pytest.mark.parametrize(
+    "protocol", ["rbft", "aardvark", "spinning", "prime", "pbft"]
+)
+def test_population_matches_exploded_clients(protocol):
+    """One aggregated port ≡ six exploded clients, per protocol family.
+
+    Paced identity sampling gives both runs the same arrival schedule,
+    so on the PBFT-family protocols they are the same run event for
+    event.  Prime picks each request's originator replica by hashing the
+    client's name, and ``pop0#3`` hashes differently from ``client3``,
+    so its two runs differ by a few dozen events (43,140 vs 43,111)
+    while agreeing on every completion.
+    """
+
+    def point(population):
+        return run(Scenario(
+            protocol=protocol,
+            workload=Workload(
+                "static", rate=1500.0, clients=6, population=population
+            ),
+            seed=2,
+            scale=SMOKE,
+        ))
+
+    aggregated, exploded = point(True), point(False)
+    assert aggregated.completed == exploded.completed
+    assert aggregated.mean_latency == pytest.approx(
+        exploded.mean_latency, rel=0.01
+    )
+    if protocol == "prime":
+        assert aggregated.executed_rate == pytest.approx(
+            exploded.executed_rate, rel=0.02
+        )
+    else:
+        assert aggregated.events == exploded.events
+        assert aggregated.executed_rate == exploded.executed_rate
 
 
 def test_sampled_identities_are_not_interned():

@@ -6,6 +6,20 @@ import pytest
 
 from repro.clients import Workload, build_profile
 from repro.clients.registry import POPULATION_THRESHOLD, get, names
+from repro.experiments import SMOKE, Scenario, run
+
+#: fixed offered rate per pack at a million declared clients (no
+#: capacity probe, so every run is the same on every machine); the
+#: spike pack's rate is per client.  A pack registered later runs at
+#: the static rate instead of being skipped.
+PACK_RATES = {
+    "static": 20_000.0,
+    "spike": 120.0,
+    "diurnal": 24_000.0,
+    "flash-crowd": 4_000.0,
+    "churn": 16_000.0,
+    "heavy-mix": 8_000.0,
+}
 
 
 def test_names_are_sorted_and_complete():
@@ -133,3 +147,22 @@ def test_heavy_mix_profile_carries_the_payload_mix():
 def test_build_profile_rejects_unknown_pack():
     with pytest.raises(ValueError, match="unknown workload"):
         build_profile("bursty", 100.0, 1.0)
+
+
+@pytest.mark.parametrize("name", names())
+def test_every_pack_carries_a_million_declared_clients(name):
+    """Every pack declares 10^6 users behind one population port and
+    drops no load on the way: it executes at least half of what it
+    offers (whole-run packs: of the profile's time average)."""
+    result = run(Scenario(
+        protocol="rbft",
+        workload=Workload(
+            name, rate=PACK_RATES.get(name, PACK_RATES["static"]),
+            clients=1_000_000,
+        ),
+        seed=11,
+        scale=SMOKE,
+        duration=0.2,
+    ))
+    assert result.declared_clients == 10**6
+    assert result.executed_rate >= 0.5 * result.offered_rate

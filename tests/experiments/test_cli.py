@@ -76,6 +76,17 @@ def test_search_unknown_protocol_is_a_usage_error(capsys):
     assert "zyzzyva" in capsys.readouterr().err
 
 
+def test_run_unknown_protocol_is_a_usage_error(capsys):
+    # The name is only looked up when the deployment is built.
+    assert main(["run", "--protocol", "nope", "--rate", "100"]) == 2
+    assert "run: unknown protocol variant 'nope'" in capsys.readouterr().err
+
+
+def test_run_invalid_fault_count_is_a_usage_error(capsys):
+    assert main(["run", "--f", "0", "--rate", "100"]) == 2
+    assert "run: RBFT needs f >= 1" in capsys.readouterr().err
+
+
 def test_check_replay_of_a_directory(capsys, tmp_path):
     import json
 

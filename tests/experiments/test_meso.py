@@ -55,16 +55,39 @@ def test_meso_engages_and_skips_steady_state():
 
 
 def test_meso_matches_exact_close_to_documented_tolerances():
-    """Throughput gets a wider band here than ``bench meso``'s 5 % gate:
+    """Throughput gets a wider band here than the documented 5 %:
     arrivals are Poisson, and this deliberately tiny workload leaves only
-    ~375 samples in the non-skipped window (sigma ~5 %), where the bench
-    workload's ~10k samples make 5 % a meaningful bound.  CI enforces the
-    documented tolerances at the bench scale via ``bench meso --check``."""
+    ~375 samples in the non-skipped window (sigma ~5 %).  The documented
+    tolerances are held on a plateau long enough for them to mean
+    something in ``test_meso_holds_its_documented_tolerances``."""
     exact = run(Scenario(**MESO_KW))
     meso = run(Scenario(mode="meso", **MESO_KW))
     assert meso.executed_rate == pytest.approx(exact.executed_rate, rel=0.15)
     assert meso.mean_latency == pytest.approx(exact.mean_latency, rel=0.10)
     assert meso.p99_latency == pytest.approx(exact.p99_latency, rel=0.15)
+
+
+def test_meso_holds_its_documented_tolerances():
+    """docs/simulator.md, "Execution modes": throughput within 5 %, mean
+    latency within 10 %, p99 within 15 % of the exact twin, on a fig7
+    point stretched so steady state dominates (~10k samples outside the
+    skipped window; today 0.29 % / 0.19 % / 0.39 %).  What the mode buys
+    is asserted as a count that repeats exactly, not a wall-clock ratio:
+    it simulates at most half the exact twin's events (585,166 of
+    2,554,447)."""
+    kw = dict(
+        protocol="rbft",
+        workload=Workload("static", rate=18000.0, population=False),
+        duration=2.4, warmup=0.3, scale=SMOKE, seed=0,
+    )
+    exact = run(Scenario(**kw))
+    meso = run(Scenario(mode="meso", **kw))
+    assert meso.meso_fallback is None
+    assert meso.ff_windows >= 1
+    assert meso.executed_rate == pytest.approx(exact.executed_rate, rel=0.05)
+    assert meso.mean_latency == pytest.approx(exact.mean_latency, rel=0.10)
+    assert meso.p99_latency == pytest.approx(exact.p99_latency, rel=0.15)
+    assert meso.events <= exact.events / 2
 
 
 def test_meso_is_deterministic():

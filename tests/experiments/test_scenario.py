@@ -1,58 +1,14 @@
-"""Scenario/run(): equivalence with the legacy entry points.
+"""Scenario/run(): the one run path.
 
-The redesign's contract: ``run(Scenario(...))`` is the only internal
-run path, ``Workload`` is the one way to describe traffic, and the
-deprecated ``run_static``/``run_dynamic`` shims and ``load``/``rate``/
-``n_clients`` fields are thin folds over it — so for every protocol the
-old and new spellings must produce *identical* results (RunResult is a
-plain dataclass; equality is field-by-field, covering rates, latencies
-and event counts).
+``run(Scenario(...))`` is the only way to execute a run and ``Workload``
+the one way to describe its traffic; a run is a pure function of its
+scenario (RunResult is a plain dataclass; equality is field-by-field,
+covering rates, latencies and event counts).
 """
-
-import warnings
 
 import pytest
 
-from repro.experiments import (
-    SMOKE,
-    Scenario,
-    Workload,
-    run,
-    run_dynamic,
-    run_static,
-)
-
-#: one representative per protocol family (variants share the builders).
-PROTOCOLS = ["rbft", "aardvark", "spinning", "prime", "pbft"]
-
-
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_scenario_matches_run_static(protocol):
-    scenario = Scenario(
-        protocol=protocol,
-        workload=Workload("static", rate=2000.0, population=False),
-        scale=SMOKE, seed=3,
-    )
-    via_scenario = run(scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        via_legacy = run_static(protocol, 8, rate=2000.0, scale=SMOKE, seed=3)
-    assert via_scenario == via_legacy
-
-
-def test_scenario_matches_run_dynamic():
-    scenario = Scenario(
-        protocol="rbft",
-        workload=Workload("spike", rate=300.0, population=False),
-        scale=SMOKE, seed=1,
-    )
-    via_scenario = run(scenario)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        via_legacy = run_dynamic(
-            "rbft", 8, per_client_rate=300.0, scale=SMOKE, seed=1
-        )
-    assert via_scenario == via_legacy
+from repro.experiments import SMOKE, Scenario, Workload, run
 
 
 def test_runs_are_deterministic():
@@ -70,48 +26,18 @@ def test_scenario_run_method_delegates():
 
 
 def test_attack_scenarios_run():
-    scenario = Scenario(
-        protocol="rbft", workload=Workload("static", rate=2000.0),
-        attack="rbft-worst1", scale=SMOKE,
-    )
-    result = run(scenario)
-    assert result.executed_rate > 0
-
-
-def test_legacy_entry_points_warn():
-    with pytest.warns(DeprecationWarning, match="run_static"):
-        run_static("pbft", 8, rate=2000.0, scale=SMOKE)
-    with pytest.warns(DeprecationWarning, match="run_dynamic"):
-        run_dynamic("pbft", 8, per_client_rate=300.0, scale=SMOKE)
-
-
-def test_legacy_fields_warn_and_fold_to_workload():
-    with pytest.warns(DeprecationWarning, match="load/rate/n_clients"):
-        legacy = Scenario(protocol="rbft", rate=2000.0, n_clients=4)
-    # The fold is canonical: the legacy fields are cleared, the workload
-    # carries their meaning, and the result equals the modern spelling.
-    assert legacy.rate is None and legacy.load is None
-    assert legacy.n_clients is None
-    assert legacy == Scenario(
+    """Fig. 8, the paper's headline: worst-attack-1 costs RBFT a few
+    percent of its fault-free throughput and never an instance change.
+    A fixed saturating rate (no capacity probe); 0.978 on this seed."""
+    base = Scenario(
         protocol="rbft",
-        workload=Workload("static", rate=2000.0, clients=4, population=False),
+        workload=Workload("static", rate=38000.0, population=False),
+        scale=SMOKE,
     )
-
-
-def test_legacy_dynamic_folds_to_spike():
-    with pytest.warns(DeprecationWarning):
-        legacy = Scenario(protocol="rbft", load="dynamic", rate=300.0)
-    assert legacy.workload.shape == "spike"
-
-
-def test_legacy_and_workload_together_is_an_error():
-    with pytest.raises(ValueError, match="not both"):
-        Scenario(protocol="rbft", rate=2000.0, workload="static")
-
-
-def test_scenario_rejects_unknown_load():
-    with pytest.raises(ValueError, match="unknown load"):
-        Scenario(protocol="rbft", load="bursty")
+    fault_free = run(base)
+    attacked = run(base.with_(attack="rbft-worst1"))
+    assert 0.95 <= attacked.executed_rate / fault_free.executed_rate <= 1.02
+    assert attacked.instance_changes == 0
 
 
 def test_scenario_rejects_unknown_workload():

@@ -1,6 +1,6 @@
 """Checkpoint garbage collection keeps protocol logs bounded.
 
-The property under test (the soak gate's analytical bound, scaled down
+The property under test (the collector's analytical bound, scaled down
 so a short run orders many multiples of it): with checkpoint GC running,
 no per-sequence structure ever holds more than
 ``watermark_window + checkpoint_interval`` entries, no matter how many

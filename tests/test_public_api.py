@@ -41,8 +41,6 @@ EXPERIMENTS_API = [
     "monitoring_view",
     "probe_capacity",
     "relative_throughput",
-    "run_dynamic",
-    "run_static",
     "table1",
     "unfair_primary_run",
     "FULL",
@@ -52,25 +50,7 @@ EXPERIMENTS_API = [
     "current_scale",
     "profile_report",
     "profile_run",
-    "run_smoke",
-    "check_bounds",
-    "write_smoke",
-    "run_soak",
-    "check_soak",
-    "write_soak",
-    "run_kernel_bench",
-    "check_regression",
-    "write_kernel_bench",
-    "run_protocol_bench",
-    "write_protocol_bench",
-    "run_scale_bench",
-    "write_scale_bench",
-    "run_workload_bench",
-    "check_workload",
-    "write_workload_bench",
     "MesoConfig",
-    "run_meso_bench",
-    "write_meso_bench",
     "RunSpec",
     "execute_specs",
     "execute_tasks",
@@ -129,10 +109,10 @@ def test_scenario_is_hashable_and_picklable():
     assert pickle.loads(pickle.dumps(scenario)) == scenario
 
 
-def test_experiments_import_defers_the_bench_harnesses():
-    # Running a scenario must not pay for importing the harnesses: they
-    # resolve on first use (a fresh interpreter, so no earlier test's
-    # imports are visible).
+def test_experiments_import_defers_profiling():
+    # Running a scenario must not pay for importing the profiling
+    # harness: its two names resolve on first use (a fresh interpreter,
+    # so no earlier test's imports are visible).
     import os
     import subprocess
     import sys
@@ -141,14 +121,12 @@ def test_experiments_import_defers_the_bench_harnesses():
     code = (
         "import sys; sys.path.insert(0, %r)\n" % src
         + "import repro.experiments as e\n"
-        "lazy = set(e._LAZY.values()) | {'benchutil'}\n"
-        "assert len(lazy) == 9, sorted(lazy)\n"
-        "loaded = {m.rpartition('.')[2] for m in sys.modules\n"
-        "          if m.startswith('repro.experiments.')}\n"
-        "assert not loaded & lazy, sorted(loaded & lazy)\n"
+        "assert set(e._LAZY.values()) == {'profiling'}, e._LAZY\n"
+        "assert 'repro.experiments.profiling' not in sys.modules\n"
         "assert set(e.__all__) <= set(dir(e))\n"
-        "from repro.experiments import run_smoke, write_soak\n"
-        "assert e.run_smoke is sys.modules['repro.experiments.smoke'].run_smoke\n"
+        "from repro.experiments import profile_run\n"
+        "assert profile_run is "
+        "sys.modules['repro.experiments.profiling'].profile_run\n"
         "try:\n"
         "    e.no_such_name\n"
         "except AttributeError as exc:\n"
