@@ -2,6 +2,7 @@
 
 from .batching import Batcher
 from .cluster import ClientPort, Cluster, ClusterConfig, Machine
+from .executed import ExecutedIds
 from .quorum import (
     QuorumTracker,
     SenderUniverse,
@@ -18,6 +19,7 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "Machine",
+    "ExecutedIds",
     "QuorumTracker",
     "SenderUniverse",
     "VectorQuorumTracker",

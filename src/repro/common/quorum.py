@@ -209,6 +209,10 @@ class VectorQuorumTracker:
     def complete(self, key: Hashable) -> bool:
         return self._masks.get(key, 0) < 0
 
+    def keys(self):
+        """Live view of the keys holding a vote, in progress or complete."""
+        return self._masks.keys()
+
     def discard(self, key: Hashable) -> None:
         """Forget a key entirely (e.g. after checkpoint garbage collection)."""
         self._masks.pop(key, None)

@@ -27,6 +27,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.batching import CertificateCoalescer
 from repro.common.cluster import Machine
+from repro.common.executed import ExecutedIds
 from repro.common.quorum import (
     VectorQuorumTracker,
     quorum_size,
@@ -159,13 +160,14 @@ class RBFTNode:
         self._propagate_votes = VectorQuorumTracker(
             weak_quorum_size(config.f), senders
         )
+        self._vote_keys = self._propagate_votes.keys()
         self.request_store: Dict[Tuple[str, int], Request] = {}
         self.ready_ids: set = set()
         self._given_at: Dict[Tuple[str, int], float] = {}
         self._ordered_by: Dict[Tuple[str, int], int] = {}
 
         # Execution state ----------------------------------------------------
-        self.executed_ids: set = set()
+        self.executed_ids = ExecutedIds()
         #: last reply per client identity (the Reply carries its rid).
         self.reply_cache: Dict[str, Reply] = {}
         self.executed_count = 0
@@ -431,8 +433,10 @@ class RBFTNode:
             return
         request = msg.request
         request_id = request.request_id
-        self._register_propagate(request_id, msg.sender)
-        if request_id in self._propagated or request_id in self.executed_ids:
+        if (
+            not self._register_propagate(request_id, msg.sender)
+            or request_id in self._propagated
+        ):
             return
         # First sight of this request: the Verification module checks the
         # client signature before this node echoes the PROPAGATE (§IV-B
@@ -450,14 +454,20 @@ class RBFTNode:
             return
         self._start_propagation(request)
 
-    def _register_propagate(self, request_id, sender: str) -> None:
-        # Executed implies the quorum completed and was garbage-collected
-        # (or is about to be); a straggling PROPAGATE must not seed a
-        # fresh quorum that could re-dispatch the request.
-        if request_id in self.executed_ids:
-            return
+    def _register_propagate(self, request_id, sender: str) -> bool:
+        """Count one PROPAGATE; False iff the request already executed.
+
+        Executed implies the quorum completed and was garbage-collected
+        (or is about to be); a straggling PROPAGATE must not seed a
+        fresh quorum that could re-dispatch the request.  Only a fresh
+        key needs the question: a request executes only after its quorum
+        completed, and a vote on a complete key is a no-op.
+        """
+        if request_id not in self._vote_keys and request_id in self.executed_ids:
+            return False
         if self._propagate_votes.add(request_id, sender):
             self._maybe_dispatch(request_id)
+        return True
 
     def _maybe_dispatch(self, request_id) -> None:
         """Dispatch once f+1 PROPAGATEs *and* the request body are in."""
@@ -500,11 +510,11 @@ class RBFTNode:
         ``ready_ids`` entry is garbage-collected.
         """
         ready = self.ready_ids
-        executed = self.executed_ids
-        return all(
-            item.request_id in ready or item.request_id in executed
-            for item in items
-        )
+        for item in items:
+            request_id = item.request_id
+            if request_id not in ready and request_id not in self.executed_ids:
+                return False
+        return True
 
     def _on_instance_ordered(self, instance: int, seq: int, items: Tuple) -> None:
         self.monitor.count_ordered(instance, len(items))
@@ -524,8 +534,8 @@ class RBFTNode:
             if seen >= len(self.engines):
                 # Every instance has ordered this request, so none of the
                 # propagation-stage memos can be consulted usefully again:
-                # re-entry is blocked by ``executed_ids`` (retained as the
-                # durable service state) at every path that matters.
+                # re-entry is blocked by ``executed_ids`` (the durable
+                # per-client watermarks) at every path that matters.
                 self._ordered_by.pop(request_id, None)
                 self._given_at.pop(request_id, None)
                 self._propagated.discard(request_id)
@@ -582,14 +592,17 @@ class RBFTNode:
 
     # ------------------------------------------------------ Execution module
     def _execute_items(self, items: Tuple) -> None:
+        newly_executed = self.executed_ids.add
         for item in items:
             request_id = item.request_id
-            if request_id in self.executed_ids:
-                continue
             request = self.request_store.get(request_id)
             if request is None:
-                continue  # unreachable: f+1 PROPAGATEs imply we hold it
-            self.executed_ids.add(request_id)
+                # Executed earlier (the store empties at execution); a
+                # never-stored body is unreachable: f+1 PROPAGATEs imply
+                # we hold it.
+                continue
+            if not newly_executed(request_id):
+                continue
             cost = self.service.exec_cost(request) + self._exec_reply_cost
             self.execution_core.submit(cost, self._execute_one, request)
 
@@ -787,10 +800,11 @@ class RBFTNode:
         ``total`` is the worst per-instance protocol-log size across the
         f+1 local engines (the quantity the checkpoint garbage collector
         bounds); the remaining fields size the node's own propagation and
-        instance-change state.  ``executed_ids`` and ``request_store``
-        are reported for visibility but are deliberately not collected:
-        the former is the durable replay-dedup state, the latter empties
-        itself at execution.
+        instance-change state.  ``request_store`` empties itself at
+        execution; ``executed_ids`` reports how many distinct requests
+        have executed — the replay-dedup state itself is one watermark
+        per client (:class:`~repro.common.executed.ExecutedIds`), so it
+        needs no collector.
         """
         history = 0
         if self._instance_history is not None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.common.cluster import Machine
+from repro.common.executed import ExecutedIds
 from repro.common.statemachine import Service
 from repro.common.types import Reply, Request
 from repro.crypto.blacklist import ClientBlacklist
@@ -108,7 +109,7 @@ class BftNode:
             senders=machine.cluster.senders,
         )
         self.blacklist = ClientBlacklist()
-        self.executed_ids = set()
+        self.executed_ids = ExecutedIds()
         #: last reply per client identity (the Reply carries its rid).
         self.reply_cache: Dict[str, Reply] = {}
         self._reply_mac = Mac(self.name)
@@ -182,10 +183,10 @@ class BftNode:
 
     # ------------------------------------------------------------ execution
     def _on_ordered(self, seq: int, items: Tuple) -> None:
+        newly_executed = self.executed_ids.add
         for request in items:
-            if request.request_id in self.executed_ids:
+            if not newly_executed(request.request_id):
                 continue
-            self.executed_ids.add(request.request_id)
             cost = self.service.exec_cost(request) + self.costs.mac_gen(
                 MESSAGE_HEADER_SIZE
             )
@@ -218,7 +219,8 @@ class BftNode:
         return self.engine.is_primary
 
     def log_sizes(self) -> Dict[str, int]:
-        """The engine's protocol-log sizes plus the replay-dedup set."""
+        """The engine's protocol-log sizes plus the executed-request count
+        (the dedup state behind it is O(clients), see ``ExecutedIds``)."""
         sizes = dict(self.engine.log_sizes())
         sizes["executed_ids"] = len(self.executed_ids)
         return sizes

@@ -59,6 +59,10 @@ class InstanceConfig:
     #: MAC pass per recipient (Spinning, §VI-B).
     multicast_auth: bool = False
 
+    def __post_init__(self) -> None:
+        if self.f < 1:
+            raise ValueError("an ordering instance needs f >= 1 (got f=%d)" % self.f)
+
     @property
     def n(self) -> int:
         return 3 * self.f + 1
@@ -503,8 +507,16 @@ class OrderingInstance:
         self.log[seq] = slot
         return slot
 
-    def _stray_votes(self, view: int, seq: int, digest: Digest) -> _Slot:
-        """The vote record of a key the slot at ``seq`` is not bound to."""
+    def _stray_votes(self, view: int, seq: int, digest: Digest) -> Optional[_Slot]:
+        """The vote record of a key the slot at ``seq`` is not bound to.
+
+        ``None`` above the admission window: no pre-prepare is admissible
+        there, so the record could never matter, and checkpoint GC (which
+        sweeps at or below the floor) would never reclaim it — one
+        Byzantine sender's far-future votes must cost no memory.
+        """
+        if seq > self.low_watermark + self.config.watermark_window:
+            return None
         key = (view, seq, digest)
         votes = self._stray.get(key)
         if votes is None:
@@ -534,6 +546,8 @@ class OrderingInstance:
             entry.digest is not digest and entry.digest != digest
         ):
             votes = self._stray_votes(view, seq, digest)
+            if votes is None:
+                return
         mask = votes.prepares
         if mask < 0:
             return  # quorum already fired
@@ -582,6 +596,8 @@ class OrderingInstance:
             entry.digest is not digest and entry.digest != digest
         ):
             votes = self._stray_votes(view, seq, digest)
+            if votes is None:
+                return
         mask = votes.commits
         if mask < 0:
             # Quorum already fired — and was acted on the moment it

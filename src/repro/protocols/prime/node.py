@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.batching import Batcher
 from repro.common.cluster import Machine
+from repro.common.executed import ExecutedIds
 from repro.common.quorum import VectorQuorumTracker
 from repro.common.statemachine import Service
 from repro.common.types import Reply, Request
@@ -69,6 +70,10 @@ class PrimeConfig:
     suspect_check_period: float = 5e-3
     po_fallback_timeout: float = 0.5  # re-originate orphaned requests
     rx_overhead: float = 1.5e-6
+
+    def __post_init__(self) -> None:
+        if self.f < 1:
+            raise ValueError("Prime needs f >= 1 (got f=%d)" % self.f)
 
     @property
     def n(self) -> int:
@@ -110,7 +115,7 @@ class PrimeNode:
         self._next_order_exec = 1
         self._ordered_vectors: Dict[int, Dict[str, int]] = {}
         self._held_orders: List[PrimeOrder] = []
-        self.executed_ids: set = set()
+        self.executed_ids = ExecutedIds()
         self._reply_mac = Mac(self.name)
         self.executed_count = 0
         self.invalid_requests = 0
@@ -449,9 +454,8 @@ class PrimeNode:
                 self.covered[node] += 1
                 requests = self.bundles.get((node, self.covered[node]), ())
                 for request in requests:
-                    if request.request_id in self.executed_ids:
+                    if not self.executed_ids.add(request.request_id):
                         continue
-                    self.executed_ids.add(request.request_id)
                     cost = self.service.exec_cost(request) + self.costs.mac_gen(
                         MESSAGE_HEADER_SIZE
                     )
@@ -584,9 +588,10 @@ class PrimeNode:
     def log_sizes(self) -> Dict[str, int]:
         """Sizes of the pre-ordering and ordering stores (``total`` = sum).
 
-        ``executed_ids`` (the replay-dedup set) and the monitoring
-        estimators are excluded from ``total``: the former is durable
-        service state, the latter are O(1).
+        ``executed_ids`` (the count of distinct executed requests) and
+        the monitoring estimators are excluded from ``total``: the
+        former is durable service state held as one watermark per client
+        (``ExecutedIds``), the latter are O(1).
         """
         total = (
             len(self.bundles)

@@ -252,10 +252,10 @@ class ExecutionConsistency(Checker):
         if self.state_transfers or not suite.expect_complete:
             return
         promotion = any(n.master_instance != 0 for n in suite.deployment.nodes)
-        baseline = nodes[0].executed_ids if nodes else set()
         for node in nodes[1:]:
+            baseline = nodes[0].executed_ids
             if node.executed_ids != baseline:
-                diff = node.executed_ids.symmetric_difference(baseline)
+                diff = node.executed_ids ^ baseline
                 self.report(
                     "%s and %s disagree on the executed set (%d requests "
                     "differ, e.g. %r)"

@@ -64,6 +64,23 @@ def test_discard_and_prune_forget_completed_keys():
     assert len(tracker) == 0
 
 
+def test_keys_is_a_live_view_of_voted_keys():
+    # RBFTNode holds this view for the life of the node, so it must
+    # follow completion, discard and prune without being re-fetched.
+    _, tracker = _pair(2)
+    keys = tracker.keys()
+    assert ("seq", 1) not in keys
+    tracker.add(("seq", 1), "a")
+    assert ("seq", 1) in keys  # in progress
+    tracker.add(("seq", 1), "b")
+    tracker.add(("seq", 9), "a")
+    assert ("seq", 1) in keys and len(keys) == 2  # complete
+    tracker.discard(("seq", 1))
+    assert ("seq", 1) not in keys
+    tracker.prune(lambda key: True)
+    assert not keys
+
+
 def test_shared_universe_keeps_trackers_independent():
     universe = SenderUniverse()
     prepare = VectorQuorumTracker(2, universe)

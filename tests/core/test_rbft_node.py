@@ -273,6 +273,65 @@ def test_duplicate_request_answered_from_reply_cache_by_bft_node():
     check_duplicate_answered_from_reply_cache(sim, nodes, clients[0])
 
 
+def replay_an_old_request(sim, nodes, client, until):
+    """Execute 1 001 requests, then retransmit the first to every node.
+
+    By then the per-client watermark has long absorbed rid 1 — the
+    dedup must hold from the watermark exactly as it did from the set.
+    """
+    from repro.protocols.base import ClientRequestMsg
+
+    first = client.send_request()
+    for i in range(1, 1001):
+        sim.call_after(i * 1e-4, client.send_request)
+    sim.run(until=until)
+    assert client.completed == 1001
+    assert all(node.executed_count == 1001 for node in nodes)
+    for node in nodes:
+        assert first.request_id in node.executed_ids
+        assert node.executed_ids.stored_entries() == 1
+    client.port.broadcast(ClientRequestMsg(first))
+    return first
+
+
+def test_old_request_and_straggling_propagate_do_not_reexecute():
+    from repro.core.messages import PropagateMsg
+    from repro.crypto import MacAuthenticator
+
+    dep = build_rbft(small_config(), n_clients=1)
+    first = replay_an_old_request(dep.sim, dep.nodes, dep.clients[0], until=0.5)
+    # ... and a faulty peer re-PROPAGATEs it to everyone for good measure.
+    straggler = dep.nodes[3]
+    straggler.machine.broadcast_to_nodes(
+        PropagateMsg(straggler.name, first, MacAuthenticator.for_signer(straggler.name))
+    )
+    dep.sim.run(until=1.0)
+    assert dep.clients[0].completed == 1001
+    for node in dep.nodes:
+        assert node.executed_count == 1001
+        assert len(node.executed_ids) == 1001
+        # Nothing was re-seeded: no vote, no verified body, no dispatch.
+        assert first.request_id not in node._propagate_votes.keys()
+        assert first.request_id not in node.ready_ids
+        assert first.request_id not in node._propagated
+        assert first.request_id not in node.request_store
+        assert not node._sig_inflight
+        assert all(engine.ordered_items == 1001 for engine in node.engines)
+
+
+def test_old_request_does_not_reexecute_on_bft_node():
+    from tests.helpers import build_pbft
+
+    sim, _, nodes, clients = build_pbft(clients=1)
+    replay_an_old_request(sim, nodes, clients[0], until=0.5)
+    sim.run(until=1.0)
+    assert clients[0].completed == 1001
+    for node in nodes:
+        assert node.executed_count == 1001
+        assert len(node.executed_ids) == 1001
+        assert node.engine.ordered_items == 1001
+
+
 def test_f2_deployment_executes_requests():
     dep = build_rbft(small_config(f=2), n_clients=4)
     drive(dep, 20)

@@ -87,6 +87,15 @@ def test_run_invalid_fault_count_is_a_usage_error(capsys):
     assert "run: RBFT needs f >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol", ["pbft", "aardvark", "spinning", "prime"])
+def test_run_baseline_with_no_fault_budget_is_a_usage_error(protocol, capsys):
+    # f = 0 used to build an n = 1 cluster that completed nothing and
+    # exited 0; the baseline configs now apply RBFTConfig's rule.
+    assert main(["run", "--protocol", protocol, "--f", "0", "--rate", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "needs f >= 1 (got f=0)" in err
+
+
 def test_check_replay_of_a_directory(capsys, tmp_path):
     import json
 

@@ -167,6 +167,39 @@ def test_replayed_votes_below_the_stable_checkpoint_are_not_stored():
     assert victim.log_sizes()["commit_votes"] == before["commit_votes"] + 1
 
 
+def test_far_future_votes_from_one_sender_are_not_stored():
+    # The other end of the window: one Byzantine replica votes for 10^4
+    # sequence numbers past ``low_watermark + watermark_window`` with
+    # fresh digests.  No pre-prepare is admissible there, so the votes
+    # can never matter — and checkpoint GC (which sweeps at or below the
+    # floor only) would never reclaim the stray slots they allocate.
+    sim, fabric, engines, ordered = make_group(
+        checkpoint_interval=4, watermark_window=16
+    )
+    submit_all(engines, [request(i) for i in range(64)])
+    sim.run(until=0.5)
+    victim = engines[1]
+    ceiling = victim.low_watermark + 16
+    auth = MacAuthenticator("node3")
+    flood = [
+        cls("node3", 0, victim.view, seq, Digest(("flood", seq)), auth)
+        for seq in range(ceiling + 1, ceiling + 1 + 5000)
+        for cls in (Prepare, Commit)
+    ]
+    before = victim.log_sizes()
+    for msg in flood[: len(flood) // 2]:
+        victim.receive(msg)
+    victim.dispatch_batch(flood[len(flood) // 2:])  # the rest, enveloped
+    sim.run(until=0.6)
+    assert victim.log_sizes() == before
+    # A vote at the top of the window is still stored.
+    victim.receive(
+        Commit("node3", 0, victim.view, ceiling, Digest("live"), auth)
+    )
+    sim.run(until=0.7)
+    assert victim.log_sizes()["commit_votes"] == before["commit_votes"] + 1
+
+
 def test_admission_floor_follows_weak_checkpoint_fast_forward():
     # Regression pin for the admission window: after a weak-checkpoint
     # state transfer the execution frontier sits *above*

@@ -65,6 +65,16 @@ class Reference:
     def primary(self, view):
         return "node%d" % (view % self.n)
 
+    def admits_vote(self, msg):
+        # Below the floor the slot is collected for good.  Above the
+        # window no pre-prepare can open one, so only a vote for the
+        # binding of a slot that is already there (a new view reproposed
+        # it) is kept: nothing is allocated for it.
+        if msg.seq <= self.low + WINDOW:
+            return msg.seq > self.low
+        entry = self.log.get(msg.seq)
+        return entry is not None and (entry[0], entry[1]) == (msg.view, msg.digest)
+
     def dispatch(self, msg):
         {PrePrepare: self.on_preprepare, Prepare: self.on_prepare,
          Commit: self.on_commit}[msg.__class__](msg)
@@ -101,7 +111,7 @@ class Reference:
         if msg.view > self.view:
             self.future.append(msg)
             return
-        if msg.view != self.view or not self.active or msg.seq <= self.low:
+        if msg.view != self.view or not self.active or not self.admits_vote(msg):
             return
         if msg.sender == self.primary(msg.view):
             return
@@ -122,7 +132,7 @@ class Reference:
         if msg.view > self.view:
             self.future.append(msg)
             return
-        if msg.view != self.view or not self.active or msg.seq <= self.low:
+        if msg.view != self.view or not self.active or not self.admits_vote(msg):
             return
         self.commits.add((msg.view, msg.seq, msg.digest), msg.sender)
         self.maybe_commit(msg.view, msg.seq, msg.digest)

@@ -2,6 +2,9 @@
 
 from types import SimpleNamespace
 
+import pytest
+
+from repro.common.executed import ExecutedIds
 from repro.trace import TraceEvent
 from repro.trace.events import K_IC_VOTE, K_PHASE, K_STAGE, K_STATE_TRANSFER
 from repro.verify import InvariantSuite
@@ -18,9 +21,9 @@ class StubMonitor:
 
 class StubNode:
     def __init__(self, name, executed_ids=(), executed_count=None,
-                 master_instance=0, monitor=None):
+                 master_instance=0, monitor=None, ids_type=set):
         self.name = name
-        self.executed_ids = set(executed_ids)
+        self.executed_ids = ids_type(executed_ids)
         self.executed_count = (
             executed_count if executed_count is not None
             else len(self.executed_ids)
@@ -149,6 +152,36 @@ def test_finalize_flags_executed_set_divergence():
     suite = make_suite(nodes)
     violations = {v.invariant for v in suite.finalize()}
     assert "exec-agreement" in violations
+
+
+@pytest.mark.parametrize("ids_type", [set, ExecutedIds])
+def test_executed_set_agreement_ignores_order_and_names_what_differs(ids_type):
+    # Both the plain sets the stubs use and the nodes' ExecutedIds go
+    # through the same operators, with the same report text.
+    ids = [("c0", 1), ("c0", 2), ("c1", 1), ("c1", 7)]
+    nodes = [
+        StubNode("node0", executed_ids=ids, ids_type=ids_type),
+        StubNode("node1", executed_ids=reversed(ids), ids_type=ids_type),
+    ]
+    suite = make_suite(nodes)
+    suite.append(ordered(0.1, "node0/i0", 1, ids))
+    suite.append(ordered(0.1, "node1/i0", 1, ids))
+    assert suite.finalize() == []
+
+    nodes = [
+        StubNode("node0", executed_ids=ids, ids_type=ids_type),
+        StubNode("node1", executed_ids=ids[1:] + [("c1", 2)], ids_type=ids_type),
+    ]
+    suite = make_suite(nodes)
+    suite.append(ordered(0.1, "node1/i0", 1, ids))
+    messages = {v.invariant: v.message for v in suite.finalize()}
+    assert messages == {
+        "exec-agreement":
+            "node1 and node0 disagree on the executed set (2 requests "
+            "differ, e.g. [('c0', 1), ('c1', 2)])",
+        "exec-skip":
+            "node1 skipped 1 master-ordered requests (e.g. [('c0', 1)])",
+    }
 
 
 def test_state_transfer_waives_completeness_but_not_duplicates():
