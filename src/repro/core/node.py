@@ -40,7 +40,7 @@ from repro.crypto.costmodel import MESSAGE_HEADER_SIZE
 from repro.crypto.primitives import Mac, MacAuthenticator
 from repro.net.message import Message
 from repro.protocols.base import ClientRequestMsg, ReplyMsg
-from repro.protocols.pbft.engine import OrderingInstance
+from repro.protocols.pbft.engine import OrderingInstance, RequestPool
 from repro.protocols.pbft.messages import OrderingMessage
 
 from .config import RBFTConfig
@@ -129,6 +129,7 @@ class RBFTNode:
         instance_config = config.instance_config()
         backup_config = config.backup_instance_config()
         senders = machine.cluster.senders
+        pool = RequestPool()  # one for the f + 1 local replicas
         for k in range(config.instances):
             core = machine.cores.allocate("replica-%d" % k)
             if self._cert_coalescer is not None and k != config.master:
@@ -149,6 +150,7 @@ class RBFTNode:
                 guard=self._propagation_guard,
                 primary_offset=k,
                 senders=senders,
+                pool=pool,
             )
             engine.on_invalid = self._note_invalid
             self.engines.append(engine)

@@ -306,20 +306,13 @@ def install_unfair_primary(
     ``delay_schedule(i)`` returns the extra delay for the victim's i-th
     request (0-based) before the primary lets it into a batch.
     """
-    leader = deployment.nodes[0]
-    master = leader.engines[0]
-    original_submit = master.submit
     counter = {"n": 0}
-    sim = deployment.sim
 
-    def unfair_submit(item):
-        if item.client == victim:
-            delay = delay_schedule(counter["n"])
-            counter["n"] += 1
-            if delay > 0:
-                sim.call_after(delay, original_submit, item)
-                return
-        original_submit(item)
+    def victim_delay(item) -> float:
+        if item.client != victim:
+            return 0.0
+        counter["n"] += 1
+        return delay_schedule(counter["n"] - 1)
 
-    master.submit = unfair_submit
+    deployment.nodes[0].engines[0].submit_delay_fn = victim_delay
     return counter

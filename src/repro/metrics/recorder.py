@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.engine import Simulator
 
@@ -131,12 +131,17 @@ class TimeSeries:
 
     ``maxlen`` optionally bounds retention to the most recent points
     (long-horizon gauges); figure series keep the default — unbounded —
-    because the plots need the full history.
+    because the plots need the full history, in a plain list: an empty
+    deque is 760 bytes and every node holds one series per instance.
     """
+
+    __slots__ = ("name", "points")
 
     def __init__(self, name: str = "", maxlen: Optional[int] = None):
         self.name = name
-        self.points: Deque[Tuple[float, float]] = deque(maxlen=maxlen)
+        self.points: Union[List[Tuple[float, float]], Deque[Tuple[float, float]]] = (
+            [] if maxlen is None else deque(maxlen=maxlen)
+        )
 
     def append(self, time: float, value: float) -> None:
         self.points.append((time, value))

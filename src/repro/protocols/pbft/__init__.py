@@ -1,6 +1,6 @@
 """The three-phase ordering engine and its wire messages."""
 
-from .engine import InstanceConfig, OrderingInstance
+from .engine import InstanceConfig, OrderingInstance, RequestPool
 from .messages import (
     Checkpoint,
     Commit,
@@ -15,6 +15,7 @@ from .messages import (
 __all__ = [
     "InstanceConfig",
     "OrderingInstance",
+    "RequestPool",
     "Checkpoint",
     "Commit",
     "NewView",

@@ -19,7 +19,7 @@ instance queues exactly like the paper's per-replica processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.batching import Batcher
 from repro.common.quorum import SenderUniverse, VectorQuorumTracker
@@ -39,7 +39,7 @@ from .messages import (
     batch_payload_size,
 )
 
-__all__ = ["InstanceConfig", "OrderingInstance"]
+__all__ = ["InstanceConfig", "OrderingInstance", "RequestPool"]
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,62 @@ def _tally(mask: int, bit: int, quorum: int) -> int:
     return ~mask if mask.bit_count() >= quorum else mask
 
 
+class RequestPool:
+    """What the f + 1 local replicas of one node hold in common, once.
+
+    The node hands every request to all of its instances, so their pools
+    hold the same ids: ``pending`` maps ``request_id`` to ``[item,
+    mask]`` and ``ordered`` maps it to ``mask``, where bit ``1 <<
+    instance`` says that instance still awaits (has ordered) the request.
+    A key lives while any instance's bit is set.  Each engine reads and
+    writes only its own bit and keeps its own counts, so per-instance
+    behaviour is that of a private dict and set — except that a new
+    primary re-proposes in the order requests reached the *node*.  The
+    per-size cost memos are pure in ``(costs, config)`` and shared the
+    same way.  An engine built without a pool makes a private one.
+    """
+
+    __slots__ = ("pending", "ordered", "_size_costs")
+
+    def __init__(self) -> None:
+        self.pending: Dict = {}
+        self.ordered: Dict = {}
+        self._size_costs: Dict = {}
+
+    def size_costs(self, costs: CryptoCostModel, config: InstanceConfig):
+        """The (PRE-PREPARE receive, batch send) cost-by-payload memos."""
+        return self._size_costs.setdefault((costs, config), ({}, {}))
+
+
+def _ignore(*args) -> None:
+    """Default ``on_ordered`` / ``on_view_entered``: nobody listens."""
+
+
 class OrderingInstance:
-    """One replica of one protocol instance."""
+    """One replica of one protocol instance.
+
+    Slotted: a deployment holds n·(f + 1) of these, and behaviour is
+    customised through the declared hooks only.
+    """
+
+    __slots__ = (
+        "sim", "core", "transport", "config", "costs", "replica", "index",
+        "instance", "on_ordered", "guard", "on_view_entered", "primary_offset",
+        "view", "active", "seq_assigned", "low_watermark", "next_exec", "log",
+        "_pending", "_ordered", "_pool_bit", "_pending_count", "_ordered_count",
+        "_stray", "_prepare_quorum", "_commit_quorum", "_senders", "_own_bit",
+        "_checkpoint_votes", "_vc_votes", "_vc_voted_for", "pending_view",
+        "_waiting_guard", "_future", "_future_held", "batcher",
+        "primary_selector", "preprepare_delay_fn", "submit_delay_fn", "silent",
+        "on_invalid", "ordered_batches", "ordered_items", "view_changes",
+        "_trace_name", "_auth", "_cert_send_cost", "_small_rx_cost",
+        "_preprepare_rx_costs", "_batch_send_costs", "_primary_name_view",
+        "_primary_name",
+    )
+
+    #: buffered future-view messages per engine; each of the n senders
+    #: may hold an equal share of it.
+    FUTURE_CAPACITY = 4096
 
     def __init__(
         self,
@@ -126,6 +180,7 @@ class OrderingInstance:
         on_view_entered: Optional[Callable[[int], None]] = None,
         primary_offset: Optional[int] = None,
         senders: Optional[SenderUniverse] = None,
+        pool: Optional[RequestPool] = None,
     ):
         self.sim = sim
         self.core = core
@@ -135,9 +190,9 @@ class OrderingInstance:
         self.replica = replica  # e.g. "node2"
         self.index = int(replica.replace("node", ""))
         self.instance = instance
-        self.on_ordered = on_ordered or (lambda seq, items: None)
+        self.on_ordered = on_ordered or _ignore
         self.guard = guard
-        self.on_view_entered = on_view_entered or (lambda view: None)
+        self.on_view_entered = on_view_entered or _ignore
         # RBFT places primaries so at most one runs per node (§IV-A).
         self.primary_offset = instance if primary_offset is None else primary_offset
 
@@ -147,8 +202,15 @@ class OrderingInstance:
         self.low_watermark = 0
         self.next_exec = 1
         self.log: Dict[int, _Slot] = {}
-        self.pending: Dict = {}  # request_id -> item, awaiting ordering
-        self._ordered_ids: Set = set()
+        # Requests awaiting ordering and ordered ids: this instance's bit
+        # in the node's pool (see ``RequestPool``), counted here.
+        if pool is None:
+            pool = RequestPool()
+        self._pending = pool.pending
+        self._ordered = pool.ordered
+        self._pool_bit = 1 << instance
+        self._pending_count = 0
+        self._ordered_count = 0
         # PREPARE/COMMIT votes live on the log slot they certify (see
         # ``_Slot``); ``_stray`` holds those for any other (view, seq,
         # digest).  Sender bits come from the cluster-wide universe when
@@ -164,6 +226,7 @@ class OrderingInstance:
         self.pending_view: Optional[int] = None
         self._waiting_guard: List[PrePrepare] = []
         self._future: List[OrderingMessage] = []  # messages from views ahead
+        self._future_held: Dict[str, int] = {}  # sender -> how many of them
         self.batcher: Batcher = Batcher(
             sim, config.batch_size, config.batch_delay, self._flush_batch
         )
@@ -176,6 +239,9 @@ class OrderingInstance:
         #: extra delay a malicious primary inserts before each PRE-PREPARE;
         #: receives the outgoing message (for rate pacing by batch size).
         self.preprepare_delay_fn: Optional[Callable[[PrePrepare], float]] = None
+        #: extra delay before ``submit`` pools an item (an unfair primary
+        #: starving one client, §VI-C-3); receives the item.
+        self.submit_delay_fn: Optional[Callable[[object], float]] = None
         #: a silent faulty replica sends nothing at all (worst-attack-1).
         self.silent = False
         #: called with the sender id when a message fails verification
@@ -193,24 +259,17 @@ class OrderingInstance:
         # Hot-path constants (cf. RBFTNode._propagate_rx_cost): the cost
         # model is pure and the authenticator immutable, so everything
         # that does not depend on the message is computed once here and
-        # per-size results are memoised below.
+        # per-size results are memoised in the node's pool.
         self._auth = MacAuthenticator.for_signer(replica)
         self._cert_send_cost = costs.authenticator_gen(DIGEST_SIZE, config.n - 1)
         self._small_rx_cost = (
             costs.authenticator_verify(DIGEST_SIZE) + config.rx_overhead
         )
-        self._preprepare_rx_costs: Dict[int, float] = {}
-        self._batch_send_costs: Dict[int, float] = {}
+        self._preprepare_rx_costs, self._batch_send_costs = pool.size_costs(
+            costs, config
+        )
         self._primary_name_view = -1
         self._primary_name = ""
-        self._dispatch_handlers = {
-            PrePrepare: self._on_preprepare,
-            Prepare: self._on_prepare,
-            Commit: self._on_commit,
-            Checkpoint: self._on_checkpoint,
-            ViewChange: self._on_view_change,
-            NewView: self._on_new_view,
-        }
 
     # ------------------------------------------------------------ identity
     def primary_index(self, view: Optional[int] = None) -> int:
@@ -236,16 +295,31 @@ class OrderingInstance:
         return self.primary_name() == self.replica
 
     # ------------------------------------------------------------- ingress
-    def submit(self, item) -> None:
+    def submit(self, item, delayed: bool = False) -> None:
         """Hand a verified request (or identifier) to this replica.
 
         Every replica pools the item; the current primary additionally
-        feeds its batcher.
+        feeds its batcher.  ``delayed`` marks the re-entry after the
+        delay ``submit_delay_fn`` asked for.
         """
+        if self.submit_delay_fn is not None and not delayed:
+            delay = self.submit_delay_fn(item)
+            if delay > 0:
+                self.sim.call_after(delay, self.submit, item, True)
+                return
         request_id = item.request_id
-        if request_id in self._ordered_ids or request_id in self.pending:
+        bit = self._pool_bit
+        ordered = self._ordered
+        if request_id in ordered and ordered[request_id] & bit:
             return
-        self.pending[request_id] = item
+        entry = self._pending.get(request_id)
+        if entry is None:
+            self._pending[request_id] = [item, bit]
+        elif entry[1] & bit:
+            return
+        else:
+            entry[1] |= bit
+        self._pending_count += 1
         if self.is_primary and self.active and not self.silent:
             self.batcher.add(item)
 
@@ -263,14 +337,19 @@ class OrderingInstance:
     # ----------------------------------------------------------- batching
     def _flush_batch(self, items: List) -> None:
         if not self.is_primary or not self.active or self.silent:
+            bit = self._pool_bit
             for item in items:  # lost leadership while batching: re-pool
-                self.pending.setdefault(item.request_id, item)
+                entry = self._pending.setdefault(item.request_id, [item, 0])
+                if not entry[1] & bit:
+                    entry[1] |= bit
+                    self._pending_count += 1
             return
         seen = set()
         unique = []
+        ordered, bit = self._ordered, self._pool_bit
         for item in items:
             request_id = item.request_id
-            if request_id in self._ordered_ids or request_id in seen:
+            if ordered.get(request_id, 0) & bit or request_id in seen:
                 continue
             seen.add(request_id)
             unique.append(item)
@@ -405,18 +484,9 @@ class OrderingInstance:
             if self.on_invalid is not None:
                 self.on_invalid(msg.sender)
             return  # verification failed: the CPU cost is already paid
-        handlers = self._dispatch_handlers
-        handler = handlers.get(msg.__class__)
-        if handler is None:
-            # Unknown exact class (e.g. a subclass): resolve through the
-            # MRO once and cache the binding.
-            for base in type(msg).__mro__[1:]:
-                handler = handlers.get(base)
-                if handler is not None:
-                    handlers[type(msg)] = handler
-                    break
+        handler = self._HANDLERS.get(msg.__class__)
         if handler is not None:
-            handler(msg)
+            handler(self, msg)
 
     # ------------------------------------------------------- future buffer
     def _buffer_future(self, msg) -> None:
@@ -426,7 +496,12 @@ class OrderingInstance:
         Spinning's per-batch rotation); without buffering, a lagging
         replica would drop the next view's PRE-PREPARE and deadlock.
         """
-        if len(self._future) < 4096:
+        held = self._future_held.get(msg.sender, 0)
+        if (
+            held < self.FUTURE_CAPACITY // self.config.n
+            and len(self._future) < self.FUTURE_CAPACITY
+        ):
+            self._future_held[msg.sender] = held + 1
             self._future.append(msg)
 
     def _replay_future(self) -> None:
@@ -436,6 +511,8 @@ class OrderingInstance:
         if not ready:
             return
         self._future = [m for m in self._future if m.view > self.view]
+        for msg in ready:
+            self._future_held[msg.sender] -= 1
         for msg in ready:
             self._dispatch(msg)
 
@@ -647,9 +724,22 @@ class OrderingInstance:
                     phase="ordered", seq=seq, items=len(entry.items),
                     rids=tuple(item.request_id for item in entry.items),
                 )
+            ordered, pending, bit = self._ordered, self._pending, self._pool_bit
             for item in entry.items:
-                self._ordered_ids.add(item.request_id)
-                self.pending.pop(item.request_id, None)
+                request_id = item.request_id
+                mask = ordered.get(request_id, 0)
+                if not mask & bit:
+                    ordered[request_id] = mask | bit
+                    self._ordered_count += 1
+                pooled = pending.get(request_id)
+                if pooled is not None:
+                    mask = pooled[1]
+                    if mask == bit:
+                        del pending[request_id]
+                        self._pending_count -= 1
+                    elif mask & bit:
+                        pooled[1] = mask ^ bit
+                        self._pending_count -= 1
             self.on_ordered(seq, entry.items)
             if self.config.auto_advance_view:
                 self._advance_view_after_batch(seq)
@@ -701,9 +791,7 @@ class OrderingInstance:
             )
         self.next_exec = seq + 1
         self.seq_assigned = max(self.seq_assigned, seq)
-        for old_seq in [s for s in self.log if s <= seq]:
-            for item in self.log.pop(old_seq).items:
-                self._ordered_ids.discard(item.request_id)
+        self._forget_through(seq)
         self._drain_ordered()
 
     def _stabilize(self, seq: int) -> None:
@@ -720,10 +808,22 @@ class OrderingInstance:
                     src=self.next_exec, dst=seq + 1, via="stable-checkpoint",
                 )
             self.next_exec = seq + 1
+        self._forget_through(seq)
+        self._collect_garbage(seq)
+
+    def _forget_through(self, seq: int) -> None:
+        """Drop the log slots at or below ``seq`` and this instance's
+        ordered mark on their requests."""
+        ordered, bit = self._ordered, self._pool_bit
         for old_seq in [s for s in self.log if s <= seq]:
             for item in self.log.pop(old_seq).items:
-                self._ordered_ids.discard(item.request_id)
-        self._collect_garbage(seq)
+                mask = ordered.get(item.request_id, 0)
+                if mask & bit:
+                    if mask == bit:
+                        del ordered[item.request_id]
+                    else:
+                        ordered[item.request_id] = mask ^ bit
+                    self._ordered_count -= 1
 
     def _collect_garbage(self, seq: int) -> None:
         """Drop every piece of per-sequence state at or below the stable
@@ -906,18 +1006,23 @@ class OrderingInstance:
             # One batch per leadership turn: feeding more than a batch is
             # wasted work (and O(backlog) per rotation under saturation).
             budget = self.config.batch_size
-            for item in self.pending.values():
+            for item in self._pooled_unordered():
                 if budget == 0:
                     break
-                if item.request_id not in self._ordered_ids:
-                    self.batcher.add(item)
-                    budget -= 1
+                self.batcher.add(item)
+                budget -= 1
             self.batcher.resume()
             return
         self.batcher.resume()
-        for item in list(self.pending.values()):
-            if item.request_id not in self._ordered_ids:
-                self.batcher.add(item)
+        for item in list(self._pooled_unordered()):
+            self.batcher.add(item)
+
+    def _pooled_unordered(self):
+        """This instance's pending items it has not ordered, oldest first."""
+        ordered, bit = self._ordered, self._pool_bit
+        for item, mask in self._pending.values():
+            if mask & bit and not ordered.get(item.request_id, 0) & bit:
+                yield item
 
     def _advance_view_after_batch(self, seq: int) -> None:
         """Spinning: the primary rotates after every ordered batch."""
@@ -940,7 +1045,7 @@ class OrderingInstance:
     # ------------------------------------------------------------ inspection
     def backlog(self) -> int:
         """Verified-but-unordered requests at this replica."""
-        return len(self.pending)
+        return self._pending_count
 
     def log_sizes(self) -> Dict[str, int]:
         """Sizes of every per-sequence structure, plus their sum (``total``).
@@ -974,9 +1079,18 @@ class OrderingInstance:
             "vc_votes": len(self._vc_votes),
             "waiting_guard": len(self._waiting_guard),
             "future": len(self._future),
-            "pending": len(self.pending),
-            "ordered_ids": len(self._ordered_ids),
+            "pending": self._pending_count,
+            "ordered_ids": self._ordered_count,
         }
+
+    _HANDLERS = {
+        PrePrepare: _on_preprepare,
+        Prepare: _on_prepare,
+        Commit: _on_commit,
+        Checkpoint: _on_checkpoint,
+        ViewChange: _on_view_change,
+        NewView: _on_new_view,
+    }
 
     def __repr__(self) -> str:
         return "OrderingInstance(%s/i%d, view=%d, next=%d)" % (

@@ -200,6 +200,44 @@ def test_far_future_votes_from_one_sender_are_not_stored():
     assert victim.log_sizes()["commit_votes"] == before["commit_votes"] + 1
 
 
+def test_future_view_flood_from_one_sender_leaves_room_for_honest_traffic():
+    # The future-view buffer holds 4 096 messages per engine.  One
+    # Byzantine replica sending 10^4 PREPAREs for views ahead used to
+    # fill it alone, after which the honest next-view PRE-PREPARE was
+    # dropped; each of the n senders now gets an equal share.
+    sim, fabric, engines, ordered = make_group()
+    victim = engines[2]
+    capacity = victim.FUTURE_CAPACITY
+    auth = MacAuthenticator("node3")
+    flood = [
+        Prepare("node3", 0, 5 + k, 1, Digest(("flood", k)), auth)
+        for k in range(10_000)
+    ]
+    for msg in flood[:5000]:
+        victim.receive(msg)
+    victim.dispatch_batch(flood[5000:])  # the rest, enveloped
+    sim.run(until=0.1)
+    assert victim.log_sizes()["future"] == capacity // 4
+    # The view-1 primary's PRE-PREPARE arrives before the victim has
+    # installed view 1: buffered, and replayed once it has.
+    item = request(0)
+    victim.receive(PrePrepare(
+        "node1", 0, 1, 1, (item,), Digest("next"), 100,
+        MacAuthenticator("node1"),
+    ))
+    sim.run(until=0.2)
+    assert victim.log_sizes()["future"] == capacity // 4 + 1
+    victim._install_view(1, announce=False)
+    sim.run(until=0.3)
+    assert victim.log[1].digest == Digest("next")
+    assert any(
+        msg.__class__ is Prepare and msg.sender == "node2" and msg.view == 1
+        for msg in fabric.log
+    )
+    # The flooder's share stays held (views 5..) and stays bounded.
+    assert victim.log_sizes()["future"] == capacity // 4
+
+
 def test_admission_floor_follows_weak_checkpoint_fast_forward():
     # Regression pin for the admission window: after a weak-checkpoint
     # state transfer the execution frontier sits *above*
