@@ -114,17 +114,6 @@ class OpenLoopClient:
             # than let it grow with every request ever completed.
             self._reply_votes.discard((reply.rid, reply.result))
 
-    # ------------------------------------------------------------- mesoscale
-    def time_shift(self, dt: float) -> None:
-        """Shift absolute-time state after a mesoscale clock jump.
-
-        In-flight requests move their send timestamps with the clock so
-        completion latency (``now - sent``) measures simulated time
-        only, not the deleted steady-state window.
-        """
-        if self._sent_at:
-            self._sent_at = {rid: t + dt for rid, t in self._sent_at.items()}
-
     # ----------------------------------------------------------- inspection
     @property
     def outstanding(self) -> int:

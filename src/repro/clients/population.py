@@ -50,8 +50,8 @@ class ClientPopulation:
 
     Quacks like a single :class:`OpenLoopClient` for everything the
     harness aggregates over — ``sent``/``completed``/``latencies``/
-    ``outstanding``/``time_shift`` — so :class:`LoadGenerator` and the
-    mesoscale controller treat a population run as a one-client pool.
+    ``outstanding`` — so :class:`LoadGenerator` treats a population run
+    as a one-client pool.
     """
 
     def __init__(
@@ -160,12 +160,6 @@ class ClientPopulation:
             # Late replies short-circuit on ``_sent_at`` above; drop the
             # vote state so it stays bounded over long runs.
             self._reply_votes.discard((reply.rid, reply.result))
-
-    # ------------------------------------------------------------- mesoscale
-    def time_shift(self, dt: float) -> None:
-        """Shift in-flight send timestamps after a mesoscale clock jump."""
-        if self._sent_at:
-            self._sent_at = {rid: t + dt for rid, t in self._sent_at.items()}
 
     # ----------------------------------------------------------- inspection
     @property

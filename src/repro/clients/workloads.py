@@ -17,9 +17,7 @@ monitoring still sees individual clients).
 Beyond the paper, this module ships production-shaped profiles for the
 workload registry (:mod:`repro.clients.registry`): a quantized diurnal
 sinusoid, a flash crowd, rolling client churn and a heavy-request
-payload mix.  All are piecewise-constant with populated ``boundaries``
-so the mesoscale fast-forward mode can still bound its steady-state
-windows.
+payload mix.
 
 Construct profiles through :func:`repro.clients.registry.build_profile`
 — the constructors here are the registry's implementation detail
@@ -56,13 +54,6 @@ class RateProfile:
     rate_fn: Callable[[float], float]  # time -> aggregate requests/second
     active_fn: Callable[[float], int]  # time -> number of active clients
     duration: float
-    #: times (relative to profile start) where the rate/client count may
-    #: change.  ``()`` declares the profile piecewise-constant with no
-    #: interior changes (static load); ``None`` — the default for
-    #: hand-built profiles — means "unknown", which disables mesoscale
-    #: fast-forward (the controller cannot bound a steady-state window
-    #: without knowing where the load next shifts).
-    boundaries: Optional[tuple] = None
     #: rolling-churn support: maps time to the index of the first client
     #: in the currently-active identity window.  ``None`` (the default)
     #: keeps the classic fixed round-robin assignment.
@@ -97,7 +88,7 @@ class RateProfile:
 
 def static_profile(rate: float, duration: float, clients: int = 10) -> RateProfile:
     """A saturating constant load."""
-    return RateProfile(lambda t: rate, lambda t: clients, duration, boundaries=())
+    return RateProfile(lambda t: rate, lambda t: clients, duration)
 
 
 def dynamic_profile(
@@ -128,19 +119,7 @@ def dynamic_profile(
         return 1
 
     return RateProfile(
-        lambda t: clients_at(t) * per_client_rate,
-        clients_at,
-        duration,
-        # The ramps change the client count once per head count step;
-        # conservatively mark every step time so fast-forward never
-        # jumps across a rate change.
-        boundaries=tuple(sorted(
-            {duration * x for x in (0.30, 0.40, 0.60, 0.70)}
-            | {duration * (0.30 * (i / max(1, ramp_clients - 1)))
-               for i in range(1, ramp_clients)}
-            | {duration * (0.70 + 0.30 * (i / max(1, ramp_clients - 1)))
-               for i in range(1, ramp_clients)}
-        )),
+        lambda t: clients_at(t) * per_client_rate, clients_at, duration
     )
 
 
@@ -155,9 +134,8 @@ def diurnal_profile(
 
     The run maps onto one simulated "day": load starts near the
     ``floor`` fraction of ``peak_rate`` (night), rises through a midday
-    peak and falls back.  Quantizing to piecewise-constant hourly levels
-    keeps the profile mesoscale-friendly: every level change is a
-    declared boundary.
+    peak and falls back, holding each of the ``steps`` piecewise-constant
+    hourly levels for one step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -173,12 +151,7 @@ def diurnal_profile(
     def rate_at(t: float) -> float:
         return levels[min(steps - 1, max(0, int(t / step)))]
 
-    return RateProfile(
-        rate_at,
-        lambda t: clients,
-        duration,
-        boundaries=tuple(step * i for i in range(1, steps)),
-    )
+    return RateProfile(rate_at, lambda t: clients, duration)
 
 
 def flash_crowd_profile(
@@ -207,7 +180,7 @@ def flash_crowd_profile(
     def active_at(t: float) -> int:
         return clients if lo <= t < hi else max(1, clients // 10)
 
-    return RateProfile(rate_at, active_at, duration, boundaries=(lo, hi))
+    return RateProfile(rate_at, active_at, duration)
 
 
 def churn_profile(
@@ -231,7 +204,6 @@ def churn_profile(
         lambda t: rate,
         lambda t: window,
         duration,
-        boundaries=(),
         window_fn=lambda t: int((t / duration) * clients) if duration > 0 else 0,
     )
 
@@ -253,7 +225,6 @@ def heavy_mix_profile(
         lambda t: rate,
         lambda t: clients,
         duration,
-        boundaries=(),
         mix=(
             (None, None), (None, None), (None, None), (None, None),
             (None, None), (1024, None), (None, None), (4096, heavy_cost),

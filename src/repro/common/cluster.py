@@ -294,32 +294,6 @@ class Cluster:
                 src.channels_to_nodes[dst.name] = channel
                 dst._register_inbound(channel)
 
-    # ------------------------------------------------------------- mesoscale
-    def time_shift(self, dt: float) -> None:
-        """Shift every piece of hardware after a mesoscale clock jump.
-
-        Cores, NICs and channels all keep absolute-time horizons
-        (``busy_until``, ``tx_free_at``/``rx_free_at``/``closed_until``,
-        the per-channel FIFO clamp); a uniform shift keeps them
-        consistent with the heap the simulator just moved.  NICs are
-        deduplicated by identity — with a shared NIC the same object
-        appears behind several attachment points.
-        """
-        nics: Dict[int, NIC] = {}
-        for machine in self.machines:
-            machine.cores.time_shift(dt)
-            nics[id(machine.client_nic)] = machine.client_nic
-            for nic in machine.peer_nics.values():
-                nics[id(nic)] = nic
-            if machine._shared_nic is not None:
-                nics[id(machine._shared_nic)] = machine._shared_nic
-        for port in self.clients.values():
-            nics[id(port.nic)] = port.nic
-        for nic in nics.values():
-            nic.time_shift(dt)
-        for channel in self.network.channels:
-            channel.time_shift(dt)
-
     # --------------------------------------------------------------- helpers
     @property
     def f(self) -> int:

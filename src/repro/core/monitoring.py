@@ -153,18 +153,6 @@ class InstanceMonitor:
         self._breach_at = None
         self._suppress_until = self.sim.now + 2 * self.config.monitoring_period
 
-    def time_shift(self, dt: float) -> None:
-        """Shift absolute-time state after a mesoscale clock jump.
-
-        The pending tick event itself moves with the heap; here the
-        suppression window and breach recency move so their remaining
-        durations are preserved.  ``rate_series`` keeps its recorded
-        sample times — it is history, not pending state.
-        """
-        self._suppress_until += dt
-        if self._breach_at is not None:
-            self._breach_at += dt
-
     def _trigger(self, reason: str) -> None:
         self.triggers.append((self.sim.now, reason))
         self._breach_at = self.sim.now

@@ -772,26 +772,6 @@ class RBFTNode:
             self.nics_closed += 1
             window.clear()
 
-    # --------------------------------------------------------------- mesoscale
-    def time_shift(self, dt: float) -> None:
-        """Shift absolute-time state after a mesoscale clock jump.
-
-        The presence of this method marks the node class as
-        fast-forwardable (see :mod:`repro.experiments.meso`): every
-        timestamp the node stores moves with the clock so durations
-        computed against ``sim.now`` — dispatch-to-order latency,
-        flooding windows, monitor suppression — measure simulated time
-        only.  The ordering engines keep no absolute-time state of
-        their own (their pending timers live in the heap, which the
-        simulator shifts).
-        """
-        if self._given_at:
-            self._given_at = {rid: t + dt for rid, t in self._given_at.items()}
-        for window in self._invalid_times.values():
-            for i in range(len(window)):
-                window[i] += dt
-        self.monitor.time_shift(dt)
-
     # -------------------------------------------------------------- inspection
     def backlog(self) -> int:
         return self.master_engine.backlog()

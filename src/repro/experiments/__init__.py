@@ -28,7 +28,6 @@ from .runner import (
     table1,
     unfair_primary_run,
 )
-from .meso import MesoConfig
 from .parallel import RunSpec, execute_specs, execute_tasks, resolve_jobs
 from .scale import FULL, QUICK, SMOKE, ScenarioScale, current_scale
 from .scenario import Scenario, run
@@ -61,7 +60,6 @@ __all__ = [
     "current_scale",
     "profile_report",
     "profile_run",
-    "MesoConfig",
     "RunSpec",
     "execute_specs",
     "execute_tasks",

@@ -257,15 +257,20 @@ def _cmd_explore(args) -> int:
         return _cmd_search(args)
     from repro.verify import explore
 
-    report = explore(
-        args.seed,
-        episodes=args.episodes,
-        jobs=args.jobs,
-        out_dir=args.out,
-        duration=args.duration,
-        rate=args.rate,
-        workload=args.workload,
-    )
+    try:
+        report = explore(
+            args.seed,
+            episodes=args.episodes,
+            jobs=args.jobs,
+            out_dir=args.out,
+            duration=args.duration,
+            rate=args.rate,
+            workload=args.workload,
+        )
+    except ValueError as exc:
+        # An empty load window or rate is a usage error, not a finding.
+        print("explore: %s" % exc, file=sys.stderr)
+        return EX_USAGE
     for index, result in enumerate(report.results):
         status = "ok" if result.ok else "VIOLATION"
         plan = ", ".join(spec.kind for spec in result.spec.plan) or "(no faults)"
@@ -311,7 +316,8 @@ def _cmd_search(args) -> int:
             workload=args.workload,
         )
     except ValueError as exc:
-        # Unknown strategy/protocol names are usage errors, not findings.
+        # Unknown strategy/protocol names, an empty load window or rate:
+        # usage errors, not findings.
         print("explore --search: %s" % exc, file=sys.stderr)
         return EX_USAGE
     print("adversary search: protocol=%s seed=%d budget=%d strategies=%s"

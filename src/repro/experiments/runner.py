@@ -123,17 +123,6 @@ class RunResult:
     #: scenario ran with ``track_log_sizes=True`` (see docs/simulator.md,
     #: "Memory model & garbage collection").
     peak_log_size: int = 0
-    #: execution mode this run actually used: "exact" (the default) or
-    #: "meso" (mesoscale fast-forward, see docs/simulator.md).
-    mode: str = "exact"
-    #: simulated seconds deleted by mesoscale fast-forward (0 in exact
-    #: mode); rates are computed over the remaining effective window.
-    ff_time: float = 0.0
-    #: number of fast-forward jumps the mesoscale controller took.
-    ff_windows: int = 0
-    #: why a ``mode="meso"`` scenario fell back to exact execution
-    #: (attack armed, tracing attached, ...); None when it did not.
-    meso_fallback: Optional[str] = None
     #: workload pack the run offered (see repro.clients.registry).
     workload: str = "static"
     #: declared client-population size; 0 when the run was driven
@@ -188,7 +177,6 @@ def _execute_run(
     warmup: float,
     send_kwargs: Optional[dict] = None,
     faulty_nodes=None,
-    meso=None,
 ) -> RunResult:
     sim = deployment.sim
     observers = _correct_observers(deployment, faulty_nodes)
@@ -202,17 +190,6 @@ def _execute_run(
         send_kwargs=send_kwargs or {},
     )
     generator.start()
-    controller = None
-    if meso is not None:
-        # Mesoscale fast-forward (docs/simulator.md, "Execution modes"):
-        # the caller has already verified eligibility, so ``meso`` is a
-        # MesoConfig and the controller arms its steady-state probe.
-        from .meso import MesoController
-
-        controller = MesoController(
-            deployment, generator, profile, duration, warmup, meso
-        )
-        controller.start()
     marks = {}
     sim.call_at(
         warmup,
@@ -229,11 +206,7 @@ def _execute_run(
     executed = max(
         node.executed_count - start for node, start in zip(observers, starts)
     )
-    # Rates are per second of *simulated* activity: fast-forwarded spans
-    # were never simulated, so they count in neither numerator (no
-    # requests executed there) nor denominator (effective window).
-    skipped = controller.skipped_time if controller is not None else 0.0
-    window = duration - warmup - skipped
+    window = duration - warmup
     completed = generator.total_completed()
     observer = max(observers, key=lambda node: node.executed_count)
     instance_changes = getattr(observer, "instance_changes", 0)
@@ -246,15 +219,12 @@ def _execute_run(
         offered_rate=0.0,
         executed_rate=executed / window if window > 0 else 0.0,
         completed=completed,
-        completed_rate=completed / (duration - skipped),
+        completed_rate=completed / duration,
         mean_latency=generator.mean_latency(),
         p99_latency=generator.latency_percentile(0.99),
         instance_changes=instance_changes,
         view_changes=view_changes,
         events=sim.dispatched,
-        mode="meso" if controller is not None else "exact",
-        ff_time=skipped,
-        ff_windows=controller.jumps if controller is not None else 0,
     )
 
 

@@ -42,9 +42,6 @@ from .scale import ScenarioScale, current_scale
 
 __all__ = ["Scenario", "run"]
 
-#: execution modes a scenario can request.
-_MODES = ("exact", "meso")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -84,23 +81,18 @@ class Scenario:
     #: (what the bounded-memory tests assert on).  Tracing stays
     #: off — and the result byte-identical — when False.
     track_log_sizes: bool = False
-    #: execution mode: "exact" (the default — every event simulated,
-    #: seeded runs byte-identical) or "meso" (opt-in mesoscale
-    #: fast-forward of fault-free steady-state windows; an approximation
-    #: with its own determinism, see docs/simulator.md).  A "meso"
-    #: scenario that is ineligible — attack armed, tracing attached,
-    #: non-fast-forwardable protocol — silently runs exact and records
-    #: the reason in ``RunResult.meso_fallback``.
-    mode: str = "exact"
     #: the traffic model (a pack name or a Workload value); ``None``
     #: means the default static workload.
     workload: Optional[Union[str, Workload]] = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(
-                "unknown mode %r (expected one of %s)" % (self.mode, _MODES)
-            )
+        duration, warmup = self.duration, self.warmup
+        if duration is not None and duration <= 0:
+            raise ValueError("duration must be > 0, got %r" % (duration,))
+        if warmup is not None and warmup < 0:
+            raise ValueError("warmup must be >= 0, got %r" % (warmup,))
+        if duration is not None and warmup is not None:
+            _check_window(duration, warmup)
         workload = self.workload
         if workload is None:
             workload = Workload()
@@ -115,6 +107,14 @@ class Scenario:
     def run(self):
         """Execute this scenario; see :func:`run`."""
         return run(self)
+
+
+def _check_window(duration: float, warmup: float) -> None:
+    """Reject a measurement window the warm-up cut would leave empty."""
+    if warmup >= duration:
+        raise ValueError(
+            "warmup (%r) must be shorter than duration (%r)" % (warmup, duration)
+        )
 
 
 def _resolved_rate(
@@ -153,12 +153,6 @@ def run(scenario: Scenario):
     scale = scenario.scale or current_scale()
     workload = scenario.workload
     spec = workload_registry.get(workload.shape)
-    rate = _resolved_rate(scenario, spec, scale)
-    declared = (
-        spec.default_clients(scenario.payload)
-        if workload.clients is None
-        else workload.clients
-    )
     duration = scale.duration if scenario.duration is None else scenario.duration
     if spec.whole_run:
         # "When the load is dynamic, we consider the average throughput
@@ -167,6 +161,15 @@ def run(scenario: Scenario):
         warmup = 0.0 if scenario.warmup is None else scenario.warmup
     else:
         warmup = scale.warmup if scenario.warmup is None else scenario.warmup
+    # Before the capacity probe or the deployment: an empty window is a
+    # usage error, not something to simulate first and divide by later.
+    _check_window(duration, warmup)
+    rate = _resolved_rate(scenario, spec, scale)
+    declared = (
+        spec.default_clients(scenario.payload)
+        if workload.clients is None
+        else workload.clients
+    )
     profile = spec.profile_factory(rate, duration, scenario.payload, declared)
     offered = profile.mean_rate() if spec.whole_run else rate
 
@@ -217,17 +220,6 @@ def run(scenario: Scenario):
             "prime", "aardvark", "spinning"
         ):
             faulty_nodes = [deployment.nodes[0]]
-    meso_config = None
-    meso_fallback = None
-    if scenario.mode == "meso":
-        from .meso import MesoConfig, eligibility
-
-        if attack_name is not None:
-            meso_fallback = "attack %r armed" % attack_name
-        else:
-            meso_fallback = eligibility(deployment, profile)
-        if meso_fallback is None:
-            meso_config = MesoConfig()
     result = _execute_run(
         deployment,
         profile,
@@ -235,9 +227,7 @@ def run(scenario: Scenario):
         warmup=warmup,
         send_kwargs=send_kwargs,
         faulty_nodes=faulty_nodes,
-        meso=meso_config,
     )
-    result.meso_fallback = meso_fallback
     result.protocol = scenario.protocol
     result.payload = scenario.payload
     result.offered_rate = offered

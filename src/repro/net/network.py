@@ -207,10 +207,6 @@ class Channel:
             sim._seq = seq = sim._seq + 1
             heappush(sim._heap, (deliver_at, seq, self.handler, (msg,)))
 
-    def time_shift(self, dt: float) -> None:
-        """Shift the FIFO clamp after a mesoscale clock jump."""
-        self._last_delivery += dt
-
     def _deliver_untraced(self, msg: Message, tx_done: float, size: int) -> None:
         """``_deliver_from`` specialised for the untraced case.
 

@@ -76,18 +76,6 @@ class NIC:
             tracer.emit(arrival, "nic.rx", self.name, size=size, done=done)
         return done
 
-    def time_shift(self, dt: float) -> None:
-        """Shift absolute-time state after a mesoscale clock jump.
-
-        The free horizons move with the shifted delivery events in the
-        heap; ``closed_until`` moves so a flooder-isolation window keeps
-        its remaining duration.  Byte/message counters are cumulative
-        and untouched.
-        """
-        self.tx_free_at += dt
-        self.rx_free_at += dt
-        self.closed_until += dt
-
     # ----------------------------------------------------------------- close
     def close(self, duration: float) -> None:
         """Disable this NIC for ``duration`` seconds (flooder isolation).

@@ -152,8 +152,8 @@ class OrderingInstance:
         "instance", "on_ordered", "guard", "on_view_entered", "primary_offset",
         "view", "active", "seq_assigned", "low_watermark", "next_exec", "log",
         "_pending", "_ordered", "_pool_bit", "_pending_count", "_ordered_count",
-        "_stray", "_prepare_quorum", "_commit_quorum", "_senders", "_own_bit",
-        "_checkpoint_votes", "_vc_votes", "_vc_voted_for", "pending_view",
+        "_stray", "_stray_owners", "_prepare_quorum", "_commit_quorum", "_senders",
+        "_own_bit", "_checkpoint_votes", "_vc_votes", "_vc_voted_for", "pending_view",
         "_waiting_guard", "_future", "_future_held", "batcher",
         "primary_selector", "preprepare_delay_fn", "submit_delay_fn", "silent",
         "on_invalid", "ordered_batches", "ordered_items", "view_changes",
@@ -213,9 +213,12 @@ class OrderingInstance:
         self._ordered_count = 0
         # PREPARE/COMMIT votes live on the log slot they certify (see
         # ``_Slot``); ``_stray`` holds those for any other (view, seq,
-        # digest).  Sender bits come from the cluster-wide universe when
-        # there is one: interned once per deployment, not per engine.
+        # digest), and ``_stray_owners`` the mask of senders that
+        # allocated one at each (view, seq).  Sender bits come from the
+        # cluster-wide universe when there is one: interned once per
+        # deployment, not per engine.
         self._stray: Dict[Tuple[int, int, Digest], _Slot] = {}
+        self._stray_owners: Dict[Tuple[int, int], int] = {}
         self._prepare_quorum = config.prepare_quorum
         self._commit_quorum = config.commit_quorum
         self._senders = SenderUniverse() if senders is None else senders
@@ -584,19 +587,29 @@ class OrderingInstance:
         self.log[seq] = slot
         return slot
 
-    def _stray_votes(self, view: int, seq: int, digest: Digest) -> Optional[_Slot]:
+    def _stray_votes(self, view: int, seq: int, digest: Digest, bit: int) -> Optional[_Slot]:
         """The vote record of a key the slot at ``seq`` is not bound to.
 
         ``None`` above the admission window: no pre-prepare is admissible
         there, so the record could never matter, and checkpoint GC (which
         sweeps at or below the floor) would never reclaim it — one
         Byzantine sender's far-future votes must cost no memory.
+
+        ``None`` too when the record is new and the sender (``bit``)
+        already allocated one at ``(view, seq)``: an honest replica votes
+        one digest per (view, seq), so strays per sequence number stay
+        within n − 1 plus one displaced binding, however many fresh
+        digests one Byzantine replica invents inside the window.
         """
         if seq > self.low_watermark + self.config.watermark_window:
             return None
         key = (view, seq, digest)
         votes = self._stray.get(key)
         if votes is None:
+            owners = self._stray_owners.get((view, seq), 0)
+            if owners & bit:
+                return None
+            self._stray_owners[(view, seq)] = owners | bit
             votes = self._stray[key] = _Slot(view, digest)
         return votes
 
@@ -622,7 +635,8 @@ class OrderingInstance:
         if entry is None or entry.view != view or (
             entry.digest is not digest and entry.digest != digest
         ):
-            votes = self._stray_votes(view, seq, digest)
+            bit = bit or self._senders.bit(msg.sender)
+            votes = self._stray_votes(view, seq, digest, bit)
             if votes is None:
                 return
         mask = votes.prepares
@@ -672,7 +686,8 @@ class OrderingInstance:
         if entry is None or entry.view != view or (
             entry.digest is not digest and entry.digest != digest
         ):
-            votes = self._stray_votes(view, seq, digest)
+            bit = bit or self._senders.bit(msg.sender)
+            votes = self._stray_votes(view, seq, digest, bit)
             if votes is None:
                 return
         mask = votes.commits
@@ -831,14 +846,14 @@ class OrderingInstance:
 
         The popped log slots above take the votes for their own (view,
         digest) with them; stray vote keys — conflicting digests,
-        superseded views, sequences this replica never logged — would
-        otherwise accumulate forever.  View-change votes for views
-        at or below the current one are unreadable (every read path
-        requires ``new_view > self.view``) and are dropped too.
+        superseded views, sequences this replica never logged — and their
+        ownership masks would otherwise accumulate forever.  View-change
+        votes for views at or below the current one are unreadable (every
+        read path requires ``new_view > self.view``) and are dropped too.
         """
-        stray = self._stray
-        for key in [key for key in stray if key[1] <= seq]:
-            del stray[key]
+        for index in (self._stray, self._stray_owners):
+            for key in [key for key in index if key[1] <= seq]:
+                del index[key]
         self._checkpoint_votes.prune(lambda key: key[0] <= seq)
         for stale in [v for v in self._vc_votes if v <= self.view]:
             del self._vc_votes[stale]

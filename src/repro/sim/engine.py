@@ -21,9 +21,9 @@ exact same schedule, and callers may rely on same-timestamp callbacks
 firing in the order they were scheduled.  The sequence number is unique,
 so tuple comparison never reaches the heterogeneous third element.
 Anything that re-orders same-timestamp entries (including the batched
-clock update below and :meth:`Simulator.fast_forward`) must preserve
-this contract; ``tests/sim/test_engine.py`` pins it for both the traced
-and untraced loops.
+clock update below) must preserve this contract;
+``tests/sim/test_engine.py`` pins it for both the traced and untraced
+loops.
 
 Performance: every heap entry is a 4-tuple ``(time, seq, target, args)``.
 ``args is None`` marks a :class:`Handle` or :class:`Event` target, which
@@ -450,9 +450,7 @@ class Simulator:
                 # any schedulable time, so the first popped entry always
                 # takes the time-change branch (limit check + clock
                 # store).  Subsequent entries at the same timestamp skip
-                # both — they are the tail of the current batch.  After
-                # fast_forward() shifts the heap mid-run the stale local
-                # re-triggers the time-change branch naturally.
+                # both — they are the tail of the current batch.
                 now = float("-inf")
                 while heap:
                     entry = pop(heap)
@@ -474,31 +472,6 @@ class Simulator:
             self.dispatched = count
         if until is not None and self.now < until:
             self.now = until
-
-    def fast_forward(self, dt: float) -> None:
-        """Jump the clock forward by ``dt``, shifting every pending entry.
-
-        The mesoscale controller (:mod:`repro.experiments.meso`) uses
-        this to delete a window of steady state: the clock advances by
-        ``dt`` and all pending events move with it, so relative timings
-        — retransmit timers, monitor periods, rate-profile boundaries
-        already on the heap — are preserved exactly.  A uniform shift
-        keeps the heap invariant (no re-heapify) and the relative order
-        of ties (sequence numbers are untouched), so the
-        ``(time, seq, ...)`` contract above survives the jump.
-
-        Safe to call from a callback while :meth:`run` is draining: the
-        shift is done with in-place slice assignment so the run loop's
-        local heap binding still sees it, and its stale batch timestamp
-        makes the next pop take the clock-update branch.
-        """
-        if dt < 0:
-            raise ValueError("cannot fast-forward backwards: %r" % dt)
-        if dt == 0:
-            return
-        heap = self._heap
-        heap[:] = [(t + dt, seq, target, args) for t, seq, target, args in heap]
-        self.now += dt
 
     def peek(self) -> Optional[float]:
         """Return the time of the next pending item, or None."""

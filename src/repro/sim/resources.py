@@ -92,17 +92,6 @@ class Core:
         busy = min(self.busy_time, elapsed)
         return busy / elapsed
 
-    def time_shift(self, dt: float) -> None:
-        """Shift absolute-time state after a mesoscale clock jump.
-
-        ``busy_until`` moves with the (already shifted) completion events
-        in the heap; ``_started_at`` moves so the skipped window — during
-        which no work was simulated — is excluded from ``utilization``.
-        ``busy_time`` is relative and untouched.
-        """
-        self.busy_until += dt
-        self._started_at += dt
-
     def __repr__(self) -> str:
         return "Core(%s, busy_until=%g, jobs=%d)" % (
             self.name,
@@ -153,7 +142,3 @@ class CoreSet:
 
     def utilizations(self) -> List[float]:
         return [core.utilization() for core in self.cores]
-
-    def time_shift(self, dt: float) -> None:
-        for core in self.cores:
-            core.time_shift(dt)

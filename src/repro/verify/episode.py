@@ -63,6 +63,14 @@ class EpisodeSpec:
     #: adversary search under diurnal / flash-crowd / churn traffic.
     workload: str = "static"
 
+    def __post_init__(self) -> None:
+        # An episode that offers no load verifies nothing, yet would
+        # report every invariant as holding.
+        if self.duration <= 0:
+            raise ValueError("duration must be > 0, got %r" % (self.duration,))
+        if self.rate <= 0:
+            raise ValueError("rate must be > 0, got %r" % (self.rate,))
+
     def to_dict(self) -> Dict[str, Any]:
         record = asdict(self)
         record["plan"] = [spec.to_dict() for spec in self.plan]

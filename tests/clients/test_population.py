@@ -191,24 +191,6 @@ def test_targets_restrict_recipients():
     assert len(got["node0"]) == 0 and len(got["node3"]) == 0
 
 
-def test_time_shift_moves_in_flight_timestamps():
-    sim, cluster, population = build()
-    request = population.send_request(index=0)
-    # A mesoscale fast-forward jumps the clock by dt and shifts in-flight
-    # send times with it, so the recorded latency excludes the skipped
-    # window.
-    sim.run(until=0.5)
-    population.time_shift(0.4)
-    reply_from(cluster, 0, request.client, request.rid)
-    reply_from(cluster, 1, request.client, request.rid)
-    sim.run(until=0.6)
-    assert population.completed == 1
-    # Sent at t=0 (shifted to 0.4), completed just after t=0.5: without
-    # the shift the latency would read the full 0.5 s.
-    (latency,) = population.latencies.samples
-    assert latency == pytest.approx(0.1, abs=0.05)
-
-
 def test_load_generator_paces_identities_round_robin():
     sim, cluster, population = build()
     generator = LoadGenerator(

@@ -90,10 +90,29 @@ def test_whole_run_flags():
     assert not get("heavy-mix").whole_run
 
 
+def _rate_changes(profile, samples=1000):
+    """The consecutive sample pairs ``rate()`` changes between.
+
+    Samples sit at grid midpoints, so none lands exactly on a step edge.
+    """
+    step = profile.duration / samples
+    times = [(i + 0.5) * step for i in range(samples)]
+    return [
+        (a, b) for a, b in zip(times, times[1:])
+        if profile.rate(a) != profile.rate(b)
+    ]
+
+
+def _active_values(profile, samples=1000):
+    step = profile.duration / samples
+    return {profile.active((i + 0.5) * step) for i in range(samples)}
+
+
 def test_static_pack_profile_is_flat_with_declared_boundaries():
     profile = build_profile("static", 1000.0, 2.0)
     assert profile.rate(0.1) == profile.rate(1.9) == 1000.0
-    assert profile.boundaries == ()
+    assert _rate_changes(profile) == []
+    assert len(_active_values(profile)) == 1
 
 
 def test_spike_pack_head_count_tracks_payload():
@@ -105,10 +124,14 @@ def test_spike_pack_head_count_tracks_payload():
 
 def test_diurnal_profile_quantizes_a_day():
     profile = build_profile("diurnal", 1000.0, 24.0, clients=100)
-    # 24 hourly levels -> 23 interior boundaries, all declared so the
-    # mesoscale controller can bound its windows.
-    assert len(profile.boundaries) == 23
-    assert profile.active(12.0) == 100
+    # 24 hourly levels: constant within each hour, changing only across
+    # an hour edge — at every interior edge but the symmetric midday
+    # plateau between hours 11 and 12.
+    changes = _rate_changes(profile, samples=2400)
+    assert all(int(a) + 1 == int(b) for a, b in changes)
+    edges = {int(b) for _, b in changes}
+    assert edges >= set(range(1, 24)) - {12}
+    assert _active_values(profile) == {100}
     # Night floor well below the midday peak.
     assert profile.rate(0.1) < 0.25 * profile.rate(12.0)
     assert profile.rate(12.0) <= 1000.0
@@ -117,8 +140,13 @@ def test_diurnal_profile_quantizes_a_day():
 
 def test_flash_crowd_surges_inside_a_declared_window():
     profile = build_profile("flash-crowd", 100.0, 10.0, clients=1000)
-    lo, hi = profile.boundaries
-    assert profile.rate(lo + 0.01) == pytest.approx(500.0)
+    # The surge is found by sampling: one rise and one fall, straddling
+    # 0.45 and 0.60 of the duration.
+    (rise, fall) = _rate_changes(profile)
+    assert rise[0] < 4.5 < rise[1] and fall[0] < 6.0 < fall[1]
+    lo, hi = rise[1], fall[0]
+    assert profile.rate(lo) == pytest.approx(500.0)
+    assert profile.rate(hi) == pytest.approx(500.0)
     assert profile.rate(lo - 0.01) == pytest.approx(100.0)
     assert profile.rate(hi + 0.01) == pytest.approx(100.0)
     # Only a tenth of the population is active outside the surge.
@@ -128,7 +156,8 @@ def test_flash_crowd_surges_inside_a_declared_window():
 
 def test_churn_profile_rolls_the_identity_window():
     profile = build_profile("churn", 100.0, 10.0, clients=1000)
-    assert profile.boundaries == ()
+    assert _rate_changes(profile) == []
+    assert _active_values(profile) == {100}
     assert profile.window_fn is not None
     assert profile.window_fn(0.0) == 0
     assert profile.window_fn(5.0) == 500
@@ -141,7 +170,8 @@ def test_heavy_mix_profile_carries_the_payload_mix():
     assert profile.mix[5] == (1024, None)
     payload, cost = profile.mix[7]
     assert payload == 4096 and cost > 0
-    assert profile.boundaries == ()
+    assert _rate_changes(profile) == []
+    assert len(_active_values(profile)) == 1
 
 
 def test_build_profile_rejects_unknown_pack():

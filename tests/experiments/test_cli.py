@@ -96,6 +96,42 @@ def test_run_baseline_with_no_fault_budget_is_a_usage_error(protocol, capsys):
     assert err.startswith("run: ") and "needs f >= 1 (got f=0)" in err
 
 
+@pytest.mark.parametrize(
+    "duration, reason",
+    [
+        ("0", "duration must be > 0"),  # used to die on ZeroDivisionError
+        ("-1", "duration must be > 0"),  # used to probe, then print 0 completed
+        ("0.2", "shorter than duration"),  # inside the scale's warm-up
+    ],
+)
+def test_run_empty_measurement_window_is_a_usage_error(duration, reason, capsys):
+    assert main(["run", "--duration", duration, "--rate", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and reason in err
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--duration", "0"], "duration must be > 0"),
+        (["--duration", "-0.5"], "duration must be > 0"),
+        (["--rate", "0"], "rate must be > 0"),
+        (["--rate", "-10"], "rate must be > 0"),
+    ],
+)
+@pytest.mark.parametrize("search", [False, True], ids=["explore", "search"])
+def test_explore_without_load_is_a_usage_error(flags, reason, search, capsys):
+    # ``explore --duration 0`` used to report "1/1 episodes passed" for
+    # an episode that simulated nothing.
+    argv = ["explore", "--episodes", "1", "--budget", "1", "--jobs", "1"]
+    if search:
+        argv.append("--search")
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    prefix = "explore --search: " if search else "explore: "
+    assert err.startswith(prefix) and reason in err
+
+
 def test_check_replay_of_a_directory(capsys, tmp_path):
     import json
 

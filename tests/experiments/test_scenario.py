@@ -64,6 +64,35 @@ def test_unrated_topology_scenario_is_rejected():
         run(scenario)
 
 
+@pytest.mark.parametrize(
+    "window, reason",
+    [
+        (dict(duration=0.0), "duration must be > 0"),
+        (dict(duration=-1.0), "duration must be > 0"),
+        (dict(warmup=-0.1), "warmup must be >= 0"),
+        (dict(duration=0.5, warmup=0.5), "shorter than duration"),
+        (dict(duration=0.5, warmup=0.8), "shorter than duration"),
+    ],
+)
+def test_scenario_rejects_an_empty_measurement_window(window, reason):
+    with pytest.raises(ValueError, match=reason):
+        Scenario(protocol="rbft", **window)
+
+
+def test_run_rejects_a_resolved_warmup_past_the_duration(monkeypatch):
+    """Only run() knows the scale's warm-up (SMOKE: 0.15 s); it must
+    refuse the window before probing capacity or building anything."""
+    from repro.experiments import runner
+
+    def built(*args, **kwargs):
+        raise AssertionError("simulated before validating the window")
+
+    monkeypatch.setattr(runner, "probe_capacity", built)
+    monkeypatch.setattr(runner, "make_deployment", built)
+    with pytest.raises(ValueError, match="shorter than duration"):
+        run(Scenario(protocol="rbft", scale=SMOKE, duration=0.1))
+
+
 def test_with_replaces_fields():
     base = Scenario(protocol="rbft", workload=Workload("static", rate=2000.0))
     attacked = base.with_(attack="rbft-worst1", seed=9)

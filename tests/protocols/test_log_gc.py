@@ -200,6 +200,48 @@ def test_far_future_votes_from_one_sender_are_not_stored():
     assert victim.log_sizes()["commit_votes"] == before["commit_votes"] + 1
 
 
+def test_fresh_digest_flood_inside_the_window_allocates_one_stray_per_seq():
+    # Inside the admission window a vote for a digest no slot is bound to
+    # allocates a stray record, reclaimed only at the next checkpoint.
+    # One Byzantine replica inventing 10^4 digests across the window may
+    # allocate one per sequence number — an honest replica votes one
+    # digest per (view, seq) — while votes onto the bound slot still
+    # count, so an honest proposal at one of those seqs commits.
+    sim, fabric, engines, ordered = make_group(
+        checkpoint_interval=4, watermark_window=16
+    )
+    submit_all(engines, [request(i) for i in range(64)])
+    sim.run(until=0.5)
+    victim = engines[1]
+    floor = victim.low_watermark
+    assert victim.next_exec == floor + 1  # nothing above the floor yet
+    auth = MacAuthenticator("node3")
+    flood = [
+        Prepare("node3", 0, victim.view, floor + 1 + k % 16,
+                Digest(("flood", k)), auth)
+        for k in range(10_000)
+    ]
+    before = victim.log_sizes()
+    for msg in flood[:5000]:
+        victim.receive(msg)
+    victim.dispatch_batch(  # the rest, enveloped
+        flood[5000:], "node3", victim._senders.bit("node3")
+    )
+    sim.run(until=0.6)
+    assert victim.log_sizes()["prepare_votes"] <= before["prepare_votes"] + 16
+    # The group's next proposal lands on the first flooded seq: node3's
+    # own honest PREPARE/COMMIT there go to the bound slot and count.
+    submit_all(engines, [request(64)])
+    sim.run(until=0.7)
+    assert ordered[1][-1] == (floor + 1, (request(64).request_id,))
+    # The next checkpoint sweeps the strays and their ownership index.
+    submit_all(engines, [request(i) for i in range(65, 80)])
+    sim.run(until=0.8)
+    assert victim.low_watermark >= floor + 4
+    for index in (victim._stray, victim._stray_owners):
+        assert all(key[1] > victim.low_watermark for key in index)
+
+
 def test_future_view_flood_from_one_sender_leaves_room_for_honest_traffic():
     # The future-view buffer holds 4 096 messages per engine.  One
     # Byzantine replica sending 10^4 PREPAREs for views ahead used to

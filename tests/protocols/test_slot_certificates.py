@@ -7,8 +7,8 @@ engine had before — two reference :class:`QuorumTracker` instances keyed
 by ``(view, seq, digest)`` beside a plain log — and the property is that
 both see the same world after every step of a random schedule:
 duplicates, votes ahead of their pre-prepare, two digests at one
-sequence number, votes for a superseded and for a future view, garbage
-collection at a watermark, view changes with re-proposals and
+sequence number, votes for a superseded and for a future view, one
+sender voting a second fresh digest, garbage collection at a watermark, view changes with re-proposals and
 Spinning-style view rotation that keeps the log, at the
 f = 1, f = 33 and f = 49 thresholds, delivered one message at a time or
 as an envelope run.
@@ -60,6 +60,7 @@ class Reference:
         self.log = {}  # seq -> [view, digest, items, prepared, committed]
         self.prepares = QuorumTracker(2 * f)
         self.commits = QuorumTracker(2 * f + 1)
+        self.owners = {}  # (view, seq) -> senders that allocated a key
         self.future, self.ordered, self.sent = [], [], []
 
     def primary(self, view):
@@ -74,6 +75,22 @@ class Reference:
             return msg.seq > self.low
         entry = self.log.get(msg.seq)
         return entry is not None and (entry[0], entry[1]) == (msg.view, msg.digest)
+
+    def allocates(self, msg):
+        # A vote for the slot's binding, or onto a key that already holds
+        # votes, counts.  A vote that would open a fresh key is kept only
+        # if its sender has not opened one at this (view, seq) before.
+        entry = self.log.get(msg.seq)
+        if entry is not None and (entry[0], entry[1]) == (msg.view, msg.digest):
+            return True
+        key = (msg.view, msg.seq, msg.digest)
+        if self.prepares.count(key) or self.commits.count(key):
+            return True
+        owners = self.owners.setdefault((msg.view, msg.seq), set())
+        if msg.sender in owners:
+            return False
+        owners.add(msg.sender)
+        return True
 
     def dispatch(self, msg):
         {PrePrepare: self.on_preprepare, Prepare: self.on_prepare,
@@ -113,7 +130,7 @@ class Reference:
             return
         if msg.view != self.view or not self.active or not self.admits_vote(msg):
             return
-        if msg.sender == self.primary(msg.view):
+        if msg.sender == self.primary(msg.view) or not self.allocates(msg):
             return
         key = (msg.view, msg.seq, msg.digest)
         if self.prepares.add(key, msg.sender):
@@ -133,6 +150,8 @@ class Reference:
             self.future.append(msg)
             return
         if msg.view != self.view or not self.active or not self.admits_vote(msg):
+            return
+        if not self.allocates(msg):
             return
         self.commits.add((msg.view, msg.seq, msg.digest), msg.sender)
         self.maybe_commit(msg.view, msg.seq, msg.digest)
@@ -167,6 +186,7 @@ class Reference:
             self.drop(old)
         self.prepares.prune(lambda key: key[1] <= seq)
         self.commits.prune(lambda key: key[1] <= seq)
+        self.owners = {k: v for k, v in self.owners.items() if k[1] > seq}
 
     def start_view_change(self):
         if self.vc_voted_for < self.view + 1:
@@ -427,6 +447,31 @@ def test_equivocating_digest_stays_off_the_slot():
     model = run_schedule(1, schedule, True)
     assert model.log[1][1:] == [digest_for(1, 0), items_for(1, 0), False, False]
     assert model.snapshot()["sizes"] == (1, 2, 1, 0)
+
+
+def test_one_sender_opens_one_stray_key_per_view_and_seq():
+    schedule = [
+        ("votes", Prepare, 0, 1, 0, False, 3, 1, True),  # node3 opens d0
+        ("votes", Prepare, 0, 1, 1, False, 3, 1, False),  # and d1: refused
+        ("votes", Commit, 0, 1, 1, False, 3, 1, True),  # refused as COMMIT too
+    ]
+    assert run_schedule(1, schedule, True).snapshot()["sizes"] == (0, 1, 0, 0)
+    schedule += [
+        ("votes", Prepare, 0, 1, 1, False, 1, 1, False),  # node1 opens d1
+        ("votes", Commit, 0, 1, 1, False, 3, 1, True),  # node3 onto it: counts
+    ]
+    assert run_schedule(1, schedule, True).snapshot()["sizes"] == (0, 2, 1, 0)
+    # Votes for the binding always count; the checkpoint collects every
+    # key at or below it, and the rule holds per sequence number.
+    schedule += [
+        ("pre-prepare", 0, 1, 1, False),
+        ("votes", Prepare, 0, 1, 1, False, 3, 1, False),
+        ("gc", 1),
+        ("votes", Prepare, 0, 2, 0, False, 3, 1, False),
+        ("votes", Prepare, 0, 2, 1, False, 3, 1, False),
+    ]
+    model = run_schedule(1, schedule, True)
+    assert model.snapshot()["sizes"] == (0, 1, 0, 0)
 
 
 def test_displaced_binding_keeps_its_votes_countable_until_gc():

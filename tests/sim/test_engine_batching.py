@@ -1,12 +1,11 @@
-"""Batched-execution and fast-forward tests for the kernel run loop.
+"""Batched-execution tests for the kernel run loop.
 
 The untraced run loop drains same-timestamp entries as one batch (one
 clock store, one limit check per distinct timestamp).  These tests pin
 the behaviours that batching must not change: the ``(time, seq, ...)``
 tie-break contract (on the batched *and* the traced per-entry loop),
 cancellation of entries already conceptually inside the current batch,
-zero-delay rescheduling, and the mid-run :meth:`Simulator.fast_forward`
-jump the mesoscale controller relies on.
+and zero-delay rescheduling.
 """
 
 import pytest
@@ -123,75 +122,3 @@ def test_run_until_splits_a_batch_boundary_exactly():
     assert sim.now == 1.0
     sim.run()
     assert fired == ["at-limit-0", "at-limit-1", "beyond"]
-
-
-# ---------------------------------------------------------- fast_forward
-
-
-def test_fast_forward_shifts_clock_and_pending_entries():
-    sim = Simulator()
-    fired = []
-    sim.call_at(2.0, fired.append, "a")
-    sim.call_at(3.0, fired.append, "b")
-    sim.fast_forward(10.0)
-    assert sim.now == 10.0
-    assert sim.peek() == 12.0
-    sim.run()
-    assert fired == ["a", "b"]
-    assert sim.now == 13.0
-
-
-def test_fast_forward_preserves_tie_order():
-    sim = Simulator()
-    fired = []
-    for i in range(5):
-        sim.call_at(1.0, fired.append, i)
-    sim.fast_forward(4.0)
-    sim.run()
-    assert fired == list(range(5))
-    assert sim.now == 5.0
-
-
-def test_fast_forward_mid_run_from_a_callback():
-    """The jump the meso controller performs: from inside a callback,
-    while the loop is draining.  Later entries shift, the stale batch
-    timestamp re-triggers the clock-update branch, and cancellation
-    handles created before the jump still work after it."""
-    sim = Simulator()
-    log = []
-    sim.call_at(1.0, lambda: sim.fast_forward(5.0))
-    sim.call_at(1.0, lambda: log.append(("same-batch", sim.now)))
-    sim.call_at(2.0, lambda: log.append(("later", sim.now)))
-    doomed = sim.call_at(2.5, log.append, "doomed")
-    sim.call_at(2.0, doomed.cancel)
-    sim.run()
-    # The rest of the t=1.0 batch runs at the post-jump clock (its heap
-    # entries were shifted to 6.0 along with everything else).
-    assert log == [("same-batch", 6.0), ("later", 7.0)]
-    assert sim.now == 7.5  # the cancelled entry still advanced the clock
-
-
-def test_fast_forward_mid_run_respects_run_limit():
-    """A jump past ``until`` stops the loop: shifted entries land beyond
-    the limit and are pushed back, and the clock stays at the landed
-    time (not clamped back to ``until``)."""
-    sim = Simulator()
-    fired = []
-    sim.call_at(1.0, lambda: sim.fast_forward(3.0))
-    sim.call_at(1.5, fired.append, "shifted-beyond-limit")
-    sim.run(until=2.0)
-    assert fired == []
-    assert sim.now == 4.0
-    assert sim.peek() == 4.5
-    sim.run()
-    assert fired == ["shifted-beyond-limit"]
-
-
-def test_fast_forward_rejects_negative_and_ignores_zero():
-    sim = Simulator()
-    sim.call_at(1.0, lambda: None)
-    with pytest.raises(ValueError):
-        sim.fast_forward(-0.5)
-    sim.fast_forward(0.0)
-    assert sim.now == 0.0
-    assert sim.peek() == 1.0

@@ -50,7 +50,6 @@ EXPERIMENTS_API = [
     "current_scale",
     "profile_report",
     "profile_run",
-    "MesoConfig",
     "RunSpec",
     "execute_specs",
     "execute_tasks",
