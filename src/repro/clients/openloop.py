@@ -8,7 +8,7 @@ when f+1 valid matching REPLY messages from distinct nodes arrive
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from repro.common.cluster import Cluster
 from repro.common.quorum import VectorQuorumTracker, weak_quorum_size
@@ -47,6 +47,9 @@ class OpenLoopClient:
         self.latencies = LatencyRecorder()
         self.sent = 0
         self.completed = 0
+        #: one corrupted tag per ``invalid_for`` set: worst-attack-1 sends
+        #: every request with the same one.
+        self._corrupt_tags: Dict[FrozenSet[str], MacAuthenticator] = {}
 
     # ---------------------------------------------------------------- send
     def send_request(
@@ -78,7 +81,7 @@ class OpenLoopClient:
                 else Signature(self.name, valid=False)
             ),
             authenticator=(
-                MacAuthenticator(self.name, invalid_for=frozenset(mac_invalid_for))
+                self._corrupt_tag(frozenset(mac_invalid_for))
                 if mac_invalid_for
                 else MacAuthenticator.for_signer(self.name)
             ),
@@ -94,6 +97,14 @@ class OpenLoopClient:
             for dst in targets if targets is not None else []:
                 self.port.send_to_node(dst, msg)
         return request
+
+    def _corrupt_tag(self, invalid_for: FrozenSet[str]) -> MacAuthenticator:
+        tag = self._corrupt_tags.get(invalid_for)
+        if tag is None:
+            tag = self._corrupt_tags[invalid_for] = MacAuthenticator(
+                self.name, invalid_for=invalid_for
+            )
+        return tag
 
     # -------------------------------------------------------------- replies
     def _on_message(self, msg: Message) -> None:

@@ -32,7 +32,8 @@ Determinism contract:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from collections.abc import Set
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.common.cluster import Cluster
 from repro.common.quorum import VectorQuorumTracker, weak_quorum_size
@@ -43,6 +44,49 @@ from repro.net.message import Message
 from repro.protocols.base import ClientRequestMsg, ReplyMsg
 
 __all__ = ["ClientPopulation"]
+
+
+class IndexBitmap(Set):
+    """A set of indices in ``range(size)``, stored as one bit each.
+
+    ``size / 8`` bytes whatever the members, where a plain ``set`` of
+    ints costs a hash slot plus an int object per member; membership,
+    iteration (ascending) and comparison are those of that ``set``.
+    """
+
+    __slots__ = ("_bits", "_count")
+
+    #: ``-``, ``^``, ``&`` and ``|`` yield plain sets.
+    _from_iterable = set
+
+    def __init__(self, size: int):
+        self._bits = bytearray((size + 7) >> 3)
+        self._count = 0
+
+    def add(self, index: int) -> None:
+        """Add ``index``, which must lie in ``range(size)``."""
+        mask = 1 << (index & 7)
+        bits = self._bits
+        byte = bits[index >> 3]
+        if not byte & mask:
+            bits[index >> 3] = byte | mask
+            self._count += 1
+
+    def __contains__(self, index) -> bool:
+        if not isinstance(index, int) or not 0 <= index < 8 * len(self._bits):
+            return False
+        return bool(self._bits[index >> 3] >> (index & 7) & 1)
+
+    def __iter__(self) -> Iterator[int]:
+        for position, byte in enumerate(self._bits):
+            if byte:
+                base = position << 3
+                for bit in range(8):
+                    if byte >> bit & 1:
+                        yield base + bit
+
+    def __len__(self) -> int:
+        return self._count
 
 
 class ClientPopulation:
@@ -92,7 +136,7 @@ class ClientPopulation:
         self.completed = 0
         #: distinct identity indices that have issued at least one
         #: request — observability for fairness/blacklist assertions.
-        self.identities_seen: Set[int] = set()
+        self.identities_seen = IndexBitmap(size)
 
     # ---------------------------------------------------------------- send
     def send_request(

@@ -39,8 +39,8 @@ class Request:
 
     One object rides every hop of every node's pipeline, so it is a flat
     record: no instance ``__dict__``, the id and wire size derived once
-    at construction, the digest and identifier memoised in slots on
-    first use (every node and every protocol instance shares them).
+    at construction, the digest, identifier and reply memoised in slots
+    on first use (every node and every protocol instance shares them).
     """
 
     client: str
@@ -54,6 +54,7 @@ class Request:
     _wire_size: int = _derived()
     _digest: Optional[Digest] = _derived()
     _identifier: Optional["RequestIdentifier"] = _derived()
+    _reply: Optional["Reply"] = _derived()
 
     def __post_init__(self):
         _set(self, "request_id", (self.client, self.rid))
@@ -67,6 +68,7 @@ class Request:
         )
         _set(self, "_digest", None)
         _set(self, "_identifier", None)
+        _set(self, "_reply", None)
 
     def digest(self) -> Digest:
         digest = self._digest
@@ -81,6 +83,21 @@ class Request:
             identifier = RequestIdentifier(self.client, self.rid, self.digest())
             _set(self, "_identifier", identifier)
         return identifier
+
+    def reply(self, result: object, result_size: int) -> "Reply":
+        """The reply carrying ``result``: one object for every replica.
+
+        Each correct replica executes the request to an equal result, so
+        the first ``Reply`` built is memoised and handed to the others;
+        a replica that computes a different result gets its own.
+        """
+        reply = self._reply
+        if reply is None:
+            reply = Reply(self.client, self.rid, result, result_size)
+            _set(self, "_reply", reply)
+        elif reply.result != result or reply.result_size != result_size:
+            return Reply(self.client, self.rid, result, result_size)
+        return reply
 
     def wire_size(self) -> int:
         """Bytes on the wire: header + payload + signature + MAC array."""
@@ -109,10 +126,11 @@ class Reply:
 
     Every node keeps the last one per client identity (its reply
     cache), so nothing is stored beyond the fields: ``request_id`` is
-    read off the hot path and built on demand.
+    read off the hot path and built on demand.  It names no node — the
+    sender travels on the ``ReplyMsg`` — so the replicas that computed
+    the same result share one object (:meth:`Request.reply`).
     """
 
-    node: str
     client: str
     rid: int
     result: object

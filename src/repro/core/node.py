@@ -451,8 +451,18 @@ class RBFTNode:
 
     def _after_propagate_signature(self, msg: PropagateMsg) -> None:
         request = msg.request
-        self._sig_inflight.discard(request.request_id)
+        request_id = request.request_id
+        self._sig_inflight.discard(request_id)
         if not request.signature.valid:
+            # Votes are counted before this check and keys leave only at
+            # ordering, so a lone vote on a body-less key is the failing
+            # sender's own: drop it, or every fresh id forged by one
+            # replica would stay in the table forever.
+            if (
+                self._propagate_votes.count(request_id) == 1
+                and request_id not in self.request_store
+            ):
+                self._propagate_votes.discard(request_id)
             return
         self._start_propagation(request)
 
@@ -618,7 +628,7 @@ class RBFTNode:
                 stage="execution", client=request.client,
                 rid=request.rid,
             )
-        reply = Reply(self.name, request.client, request.rid, result, result_size)
+        reply = request.reply(result, result_size)
         self.reply_cache[request.client] = reply
         self._send_reply(reply)
         self.request_store.pop(request.request_id, None)
@@ -626,7 +636,7 @@ class RBFTNode:
     def _send_reply(self, reply: Reply) -> None:
         channel = self.machine.channel_to_client(reply.client)
         if channel is not None:
-            channel.send(ReplyMsg(reply, self._reply_mac))
+            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
 
     def _resend_reply(self, request: Request) -> None:
         cached = self.reply_cache.get(request.client)

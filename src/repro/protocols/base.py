@@ -52,8 +52,8 @@ class ReplyMsg(Message):
 
     __slots__ = ("reply", "mac")
 
-    def __init__(self, reply: Reply, mac: Mac):
-        self.sender = reply.node
+    def __init__(self, reply: Reply, mac: Mac, sender: str):
+        self.sender = sender
         self.reply = reply
         self.mac = mac
 
@@ -195,7 +195,7 @@ class BftNode:
     def _execute_one(self, request: Request) -> None:
         result, result_size = self.service.apply(request)
         self.executed_count += 1
-        reply = Reply(self.name, request.client, request.rid, result, result_size)
+        reply = request.reply(result, result_size)
         self.reply_cache[request.client] = reply
         self._send_reply(reply)
         self.on_executed(request)
@@ -206,7 +206,7 @@ class BftNode:
     def _send_reply(self, reply: Reply) -> None:
         channel = self.machine.channel_to_client(reply.client)
         if channel is not None:
-            channel.send(ReplyMsg(reply, self._reply_mac))
+            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
 
     def _resend_reply(self, request: Request) -> None:
         cached = self.reply_cache.get(request.client)

@@ -33,7 +33,7 @@ from repro.common.cluster import Machine
 from repro.common.executed import ExecutedIds
 from repro.common.quorum import VectorQuorumTracker
 from repro.common.statemachine import Service
-from repro.common.types import Reply, Request
+from repro.common.types import Request
 from repro.crypto.blacklist import ClientBlacklist
 from repro.crypto.costmodel import MESSAGE_HEADER_SIZE, CryptoCostModel
 from repro.crypto.primitives import Digest, Mac, Signature
@@ -472,10 +472,10 @@ class PrimeNode:
     def _execute_one(self, request: Request) -> None:
         result, result_size = self.service.apply(request)
         self.executed_count += 1
-        reply = Reply(self.name, request.client, request.rid, result, result_size)
+        reply = request.reply(result, result_size)
         channel = self.machine.channel_to_client(request.client)
         if channel is not None:
-            channel.send(ReplyMsg(reply, self._reply_mac))
+            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
 
     # ------------------------------------------------------------ monitoring
     def acceptable_order_delay(self) -> float:

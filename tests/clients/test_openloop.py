@@ -20,7 +20,7 @@ def reply_from(cluster, node_index, client, rid, result="ok"):
     machine.send_to_client(
         client.name,
         ReplyMsg(
-            Reply(machine.name, client.name, rid, result), Mac(machine.name)
+            Reply(client.name, rid, result), Mac(machine.name), machine.name
         ),
     )
 
@@ -75,8 +75,9 @@ def test_invalid_reply_mac_ignored():
     machine.send_to_client(
         client.name,
         ReplyMsg(
-            Reply(machine.name, client.name, request.rid, "ok"),
+            Reply(client.name, request.rid, "ok"),
             Mac(machine.name, valid=False),
+            machine.name,
         ),
     )
     reply_from(cluster, 1, client, request.rid)

@@ -9,8 +9,10 @@ every protocol family.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.clients import ClientPopulation, LoadGenerator, Workload
+from repro.clients.population import IndexBitmap
 from repro.clients.registry import build_profile
 from repro.common import Cluster, ClusterConfig, Reply
 from repro.crypto import Mac, principal_owner
@@ -30,7 +32,7 @@ def reply_from(cluster, node_index, identity, rid, result="ok"):
     machine = cluster.machines[node_index]
     machine.send_to_client(
         identity,
-        ReplyMsg(Reply(machine.name, identity, rid, result), Mac(machine.name)),
+        ReplyMsg(Reply(identity, rid, result), Mac(machine.name), machine.name),
     )
 
 
@@ -45,6 +47,32 @@ def test_requests_carry_virtual_identities_and_unique_rids():
     assert (first.rid, second.rid, third.rid) == (1, 2, 3)
     assert population.sent == 3
     assert population.identities_seen == {3, 999}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.integers(1, 70).flatmap(
+        lambda size: st.tuples(
+            st.just(size), st.lists(st.integers(0, size - 1), max_size=90)
+        )
+    )
+)
+@example(case=(1, [0, 0]))
+@example(case=(8, [7, 0, 7]))  # one full byte's edges
+@example(case=(9, [8]))  # the lone bit of a partial byte
+def test_seen_identities_behave_as_the_int_set(case):
+    size, indices = case
+    seen, model = IndexBitmap(size), set()
+    for index in indices:
+        seen.add(index)
+        model.add(index)
+        assert len(seen) == len(model)
+    assert seen == model and model == seen and not seen != model
+    assert list(seen) == sorted(model)
+    for probe in range(-9, size + 9):
+        assert (probe in seen) == (probe in model)
+    assert "pop0#0" not in seen and None not in seen
+    assert seen - {0} == model - {0} and type(seen - {0}) is set
 
 
 def test_identity_index_is_validated():
@@ -95,16 +123,11 @@ def test_replies_for_foreign_owner_are_ignored():
     request = population.send_request(index=0)
     # A reply naming another population's identity must not count even
     # if it lands on this port with a matching rid.
-    foreign = Reply(
-        cluster.machines[0].name, "other#0", request.rid, "ok"
-    )
-    population._on_message(ReplyMsg(foreign, Mac(cluster.machines[0].name)))
-    population._on_message(
-        ReplyMsg(
-            Reply(cluster.machines[1].name, "other#0", request.rid, "ok"),
-            Mac(cluster.machines[1].name),
+    foreign = Reply("other#0", request.rid, "ok")
+    for machine in cluster.machines[:2]:
+        population._on_message(
+            ReplyMsg(foreign, Mac(machine.name), machine.name)
         )
-    )
     assert population.completed == 0
 
 
@@ -114,8 +137,9 @@ def test_invalid_reply_mac_is_ignored():
     machine = cluster.machines[0]
     population._on_message(
         ReplyMsg(
-            Reply(machine.name, request.client, request.rid, "ok"),
+            Reply(request.client, request.rid, "ok"),
             Mac(machine.name, valid=False),
+            machine.name,
         )
     )
     reply_from(cluster, 1, request.client, request.rid)
@@ -288,11 +312,12 @@ def test_per_identity_memory_budget():
 
     Every node keeps per-client state (last reply, executed ids), so
     bytes per identity decide how far a population run reaches.  4 800
-    identities (just below the point where the per-node sets next
-    quadruple) read 1 867 traced peak bytes each with dict-backed
-    replies, a ``(rid, reply)`` cache tuple and interned per-identity
-    tags (1 650 when an earlier test had already interned the tags),
-    1 256 with flat records; the ceiling sits between the two.
+    identities (just below the point where the per-node dicts next
+    grow) read 1 867 traced peak bytes each with dict-backed replies, a
+    ``(rid, reply)`` cache tuple and interned per-identity tags, 1 256
+    with flat records, 1 005 before the n replicas shared one ``Reply``
+    per request and the seen identities became a bitmap, 754 after; the
+    ceiling sits between the last two.
     """
     import tracemalloc
 
@@ -317,4 +342,4 @@ def test_per_identity_memory_budget():
         tracemalloc.stop()
     assert population.completed == identities
     assert len(population.identities_seen) == identities
-    assert (peak - before) / identities <= 1450
+    assert (peak - before) / identities <= 880

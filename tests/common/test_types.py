@@ -46,5 +46,17 @@ def test_identifier_wire_size_is_constant_and_small():
 
 
 def test_reply_request_id():
-    reply = Reply(node="node0", client="c1", rid=3, result="ok")
+    reply = Reply(client="c1", rid=3, result="ok")
     assert reply.request_id == ("c1", 3)
+
+
+def test_request_shares_one_reply_between_equal_results():
+    request = make_request("c1", 3)
+    shared = request.reply("ok", 8)
+    assert shared == Reply("c1", 3, "ok", 8)
+    assert request.reply("ok", 8) is shared
+    # A replica that computed something else gets a reply of its own.
+    for result, size in (("diverged", 8), ("ok", 16)):
+        own = request.reply(result, size)
+        assert own == Reply("c1", 3, result, size) and own is not shared
+    assert request.reply("ok", 8) is shared  # the first stays memoised

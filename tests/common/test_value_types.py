@@ -55,9 +55,9 @@ def samples():
             "digest=Digest(('req', 'c1', 7)))",
         ),
         (
-            Reply(node="node0", client="c1", rid=7, result="ok"),
+            Reply(client="c1", rid=7, result="ok"),
             "result",
-            "Reply(node='node0', client='c1', rid=7, result='ok', result_size=8)",
+            "Reply(client='c1', rid=7, result='ok', result_size=8)",
         ),
         (Mac(signer="node0", valid=False), "valid", "Mac(signer='node0', valid=False)"),
         (
@@ -107,16 +107,16 @@ def test_equality_and_hash_are_field_wise():
     assert make_request(exec_cost=1e-3) != make_request()
     # Derived and memoised state never takes part in the comparison.
     warm, cold = make_request(), make_request()
-    warm.digest(), warm.identifier()
+    warm.digest(), warm.identifier(), warm.reply("ok", 8)
     assert warm == cold and hash(warm) == hash(cold)
     assert len({warm, cold}) == 1
 
     digest = Digest(("req", "c1", 7))
     assert RequestIdentifier("c1", 7, digest) == RequestIdentifier("c1", 7, digest)
     assert RequestIdentifier("c1", 7, digest) != RequestIdentifier("c1", 8, digest)
-    assert Reply("node0", "c1", 7, "ok") == Reply("node0", "c1", 7, "ok", 8)
-    assert Reply("node0", "c1", 7, "ok") != Reply("node1", "c1", 7, "ok")
-    assert Reply("node0", "c1", 7, "ok") != ("node0", "c1", 7, "ok", 8)
+    assert Reply("c1", 7, "ok") == Reply("c1", 7, "ok", 8)
+    assert Reply("c1", 7, "ok") != Reply("c1", 7, "no")
+    assert Reply("c1", 7, "ok") != ("c1", 7, "ok", 8)
     assert Mac("node0") == Mac("node0", True) != Mac("node0", False)
     assert Signature("c1") == Signature("c1", True) != Signature("c2")
     assert MacAuthenticator("c1") == MacAuthenticator("c1", None)
@@ -140,7 +140,7 @@ def test_derived_values_match_their_formulas(payload):
     assert identifier == RequestIdentifier("client3", 41, request.digest())
     assert identifier.request_id == ("client3", 41)
     assert RequestIdentifier.WIRE_SIZE == 16 + DIGEST_SIZE
-    reply = Reply("node2", "client3", 41, "ok", result_size=payload)
+    reply = Reply("client3", 41, "ok", result_size=payload)
     assert reply.request_id == ("client3", 41)
 
 
@@ -158,7 +158,7 @@ def test_memoised_state_survives_pickling():
 def test_defaults_and_positional_construction():
     request = Request("c1", 1, 8, Signature("c1"), MacAuthenticator("c1"))
     assert request.exec_cost is None and request.sent_at == 0.0
-    assert Reply("node0", "c1", 1, "ok").result_size == 8
+    assert Reply("c1", 1, "ok").result_size == 8
     assert Mac("node0").valid and Signature("c1").valid
     assert MacAuthenticator("c1").invalid_for is None
     with pytest.raises(TypeError):
@@ -179,7 +179,7 @@ def test_wire_messages_carry_sender_and_size(payload):
     assert propagate.wire_size() == (
         MESSAGE_HEADER_SIZE + request.wire_size() + 4 * MAC_SIZE
     )
-    reply = ReplyMsg(Reply("node2", "client3", 41, "ok", payload), Mac("node2"))
+    reply = ReplyMsg(Reply("client3", 41, "ok", payload), Mac("node2"), "node2")
     assert reply.sender == "node2"
     assert reply.wire_size() == MESSAGE_HEADER_SIZE + payload + MAC_SIZE
     assert not hasattr(propagate, "__dict__") and not hasattr(reply, "__dict__")

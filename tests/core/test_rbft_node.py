@@ -235,11 +235,14 @@ def check_duplicate_answered_from_reply_cache(sim, nodes, client):
     first = client.send_request()
     sim.run(until=0.3)
     assert client.completed == 1 and len(replies) == len(nodes)
-    # One flat record per client identity: the cache holds the Reply itself.
+    assert sorted(msg.sender for msg in replies) == sorted(n.name for n in nodes)
+    # One flat record per client identity, and one for the whole
+    # deployment: every correct replica's cache holds the same Reply.
+    shared = nodes[0].reply_cache[client.name]
+    assert shared == Reply(client.name, first.rid, "ok", 8)
     for node in nodes:
-        assert node.reply_cache == {
-            client.name: Reply(node.name, client.name, first.rid, "ok", 8)
-        }
+        assert node.reply_cache.keys() == {client.name}
+        assert node.reply_cache[client.name] is shared
 
     client.port.broadcast(ClientRequestMsg(first))
     sim.run(until=0.6)
@@ -248,7 +251,7 @@ def check_duplicate_answered_from_reply_cache(sim, nodes, client):
     assert sorted(msg.sender for msg in resent) == sorted(n.name for n in nodes)
     for msg in resent:
         assert msg.mac == Mac(msg.sender)
-        assert any(msg.reply is node.reply_cache[client.name] for node in nodes)
+        assert msg.reply is shared
 
     # Only the *last* reply is cached: once a newer request executed, a
     # retransmission of the older one is dropped without an answer.
@@ -271,6 +274,27 @@ def test_duplicate_request_answered_from_reply_cache_by_bft_node():
 
     sim, _, nodes, clients = build_pbft(clients=1)
     check_duplicate_answered_from_reply_cache(sim, nodes, clients[0])
+
+
+def test_replica_with_a_different_result_keeps_its_own_reply():
+    from repro.common import NullService
+
+    class Diverging(NullService):
+        def apply(self, request):
+            return ("diverged", self.result_size)
+
+    dep = build_rbft(small_config(), n_clients=1)
+    odd = dep.nodes[3]
+    odd.service = Diverging()
+    client = dep.clients[0]
+    client.send_request()
+    dep.sim.run(until=0.3)
+    assert client.completed == 1  # f + 1 matching replies still agree
+    correct = [node.reply_cache[client.name] for node in dep.nodes[:3]]
+    assert all(reply is correct[0] for reply in correct)
+    own = odd.reply_cache[client.name]
+    assert own.result == "diverged" and correct[0].result == "ok"
+    assert own.request_id == correct[0].request_id
 
 
 def replay_an_old_request(sim, nodes, client, until):

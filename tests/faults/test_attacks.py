@@ -78,6 +78,22 @@ def test_worst1_silences_master_replicas_only():
     assert handle.flooders and all(f._running for f in handle.flooders)
 
 
+def test_worst1_client_reuses_one_corrupted_tag():
+    # Every worst-attack-1 request carries the same corruption, so the
+    # client builds its tag once instead of once per request.
+    dep = make_deployment("rbft", 8, QUICK)
+    handle = install_rbft_worst_attack_1(dep)
+    client = dep.clients[0]
+    requests = [
+        client.send_request(**handle.client_send_kwargs) for _ in range(3)
+    ]
+    tag = requests[0].authenticator
+    assert all(request.authenticator is tag for request in requests)
+    assert not tag.valid_for("node0") and tag.valid_for("node1")
+    assert client.send_request(mac_invalid_for=["node1"]).authenticator != tag
+    assert client.send_request().authenticator.valid_for("node0")
+
+
 def test_worst1_f2_picks_non_primary_hosts():
     dep = make_deployment("rbft", 8, QUICK, f=2)
     handle = install_rbft_worst_attack_1(dep)

@@ -12,8 +12,10 @@ against a bound of 40 fails loudly on any leak.
 import pytest
 
 from repro.clients import LoadGenerator, static_profile
+from repro.common import Request
 from repro.core import RBFTConfig
-from repro.crypto import MacAuthenticator
+from repro.core.messages import PropagateMsg
+from repro.crypto import MacAuthenticator, Signature
 from repro.crypto.primitives import Digest
 from repro.experiments import (
     build_aardvark,
@@ -278,6 +280,65 @@ def test_future_view_flood_from_one_sender_leaves_room_for_honest_traffic():
     )
     # The flooder's share stays held (views 5..) and stays bounded.
     assert victim.log_sizes()["future"] == capacity // 4
+
+
+def _client_request(rid, signature_valid):
+    return Request(
+        "client0", rid, 8, Signature("client0", valid=signature_valid),
+        MacAuthenticator.for_signer("client0"),
+    )
+
+
+def _propagate(sender, request):
+    return PropagateMsg(sender, request, MacAuthenticator.for_signer(sender))
+
+
+def test_invalid_signature_propagate_flood_leaves_no_votes():
+    # One replica PROPAGATEs 10^4 never-sent request ids whose client
+    # signatures do not verify.  Each vote is counted before the check,
+    # and keys otherwise leave the table only when their request is
+    # ordered, which these never are.
+    dep = build_rbft(RBFTConfig(), n_clients=1)
+    victim = dep.nodes[1]
+    for rid in range(1, 10_001):
+        victim.on_network_message(_propagate("node3", _client_request(rid, False)))
+    dep.sim.run(until=0.6)
+    assert not victim._sig_inflight  # every body was checked
+    assert victim.log_sizes()["propagate_votes"] == 0
+    # The real traffic after the flood is untouched.
+    client = dep.clients[0]
+    client.send_request()
+    dep.sim.run(until=1.0)
+    assert client.completed == 1
+    assert all(node.log_sizes()["propagate_votes"] == 0 for node in dep.nodes)
+
+
+def test_tampered_propagate_keeps_the_honest_vote():
+    # A Byzantine replica races an invalid-signature copy of a real
+    # request against an honest PROPAGATE of it: the honest vote lands
+    # while the forged body is being checked (so the honest copy is not
+    # checked itself), and a second forged copy arrives after it.  The
+    # failing checks must not erase the honest vote: the victim hears
+    # the body only from the client, and with the other replicas muted
+    # that vote plus its own is its whole f + 1 quorum.
+    dep = build_rbft(RBFTConfig(), n_clients=1)
+    victim = dep.nodes[2]
+    for node in dep.nodes:
+        node.propagate_silent = node is not victim
+    real = _client_request(1, True)
+    victim.on_network_message(_propagate("node3", _client_request(1, False)))
+    victim.on_network_message(_propagate("node1", real))
+    dep.sim.run(until=0.01)
+    victim.on_network_message(_propagate("node3", _client_request(1, False)))
+    dep.sim.run(until=0.02)
+    assert not victim._sig_inflight
+    assert victim._propagate_votes.complete(real.request_id)
+    assert victim.executed_count == 0
+    client = dep.clients[0]
+    client.send_request(targets=[victim.name])
+    dep.sim.run(until=0.5)
+    assert victim.executed_count == 1
+    assert client.completed == 1
 
 
 def test_admission_floor_follows_weak_checkpoint_fast_forward():
