@@ -94,7 +94,25 @@ class BatchingInstanceTransport:
 class RBFTNode:
     """One physical machine of an RBFT deployment."""
 
+    #: completion callbacks handed to the module and replica cores.  Each
+    #: is bound once per node: a bound method built at the submit site
+    #: would live as long as its job waits in a core's backlog.
+    _STAGE_CALLBACKS = (
+        "_on_propagate",
+        "_dispatch_envelope",
+        "_on_instance_change",
+        "_note_invalid",
+        "_after_request_mac",
+        "_after_request_signature",
+        "_emit_propagate",
+        "_after_propagate_signature",
+        "_dispatch_ready",
+        "_execute_one",
+    )
+
     def __init__(self, machine: Machine, config: RBFTConfig, service: Service):
+        for name in self._STAGE_CALLBACKS:
+            setattr(self, name, getattr(self, name))
         self.machine = machine
         self.config = config
         self.costs = config.costs
@@ -454,6 +472,9 @@ class RBFTNode:
         request_id = request.request_id
         self._sig_inflight.discard(request_id)
         if not request.signature.valid:
+            # A correct replica checks a body before echoing it, so a
+            # forged PROPAGATE proves its sender faulty (§V).
+            self._note_invalid(msg.sender)
             # Votes are counted before this check and keys leave only at
             # ordering, so a lone vote on a body-less key is the failing
             # sender's own: drop it, or every fresh id forged by one

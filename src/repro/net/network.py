@@ -205,7 +205,7 @@ class Channel:
                 )
             # Deliveries are never cancelled: anonymous fast path, inlined.
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (deliver_at, seq, self.handler, (msg,)))
+            heappush(sim._heap, (deliver_at, seq, self.handler, msg))
 
     def _deliver_untraced(self, msg: Message, tx_done: float, size: int) -> None:
         """``_deliver_from`` specialised for the untraced case.
@@ -255,7 +255,7 @@ class Channel:
             self._last_delivery = deliver_at
             self.delivered += 1
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (deliver_at, seq, self.handler, (msg,)))
+            heappush(sim._heap, (deliver_at, seq, self.handler, msg))
 
     def __repr__(self) -> str:
         return "Channel(%s->%s, %s)" % (self.src, self.dst, "tcp" if self.tcp else "udp")
@@ -294,19 +294,24 @@ class Network:
         Under UDP multicast (Spinning, §VI-B) the sender transmits the
         packet once; receivers each pay their own reception.  We charge
         the sender NIC once and fan the single transmission out.
+        Channels carrying a fault-injection intercept hand the message
+        to their hook, exactly as ``send`` would; the hook-free ones
+        share the one transmission.
         """
-        channels = list(channels)
-        if not channels:
-            return
-        size = msg.wire_size()
-        tx_done = channels[0].src_nic.reserve_tx(size)
-        sim = channels[0]._sim
-        tracer = sim.tracer
-        if tracer is not None and tracer.enabled:
-            for channel in channels:
+        tx_done = None
+        for channel in channels:
+            hook = channel.intercept
+            if hook is not None:
+                hook(channel, msg)
+                continue
+            if tx_done is None:
+                size = msg.wire_size()
+                tx_done = channel.src_nic.reserve_tx(size)
+                tracer = channel._sim.tracer
+                tracing = tracer is not None and tracer.enabled
+            if tracing:
                 channel._deliver_from(msg, tx_done, size)
-        else:
-            for channel in channels:
+            else:
                 channel._deliver_untraced(msg, tx_done, size)
 
     @staticmethod

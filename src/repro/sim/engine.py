@@ -25,14 +25,18 @@ clock update below) must preserve this contract;
 ``tests/sim/test_engine.py`` pins it for both the traced and untraced
 loops.
 
-Performance: every heap entry is a 4-tuple ``(time, seq, target, args)``.
-``args is None`` marks a :class:`Handle` or :class:`Event` target, which
-is dispatched through its ``_dispatch`` method; otherwise ``target`` is
-a bare callable invoked as ``target(*args)`` — the *anonymous fast path*
-used by schedulers that never need to cancel (core completions, channel
-deliveries, process resumption).  The fast path skips the Handle
-allocation, its ``__init__`` frame and the cancelled/done bookkeeping,
-which together dominate per-event cost in saturated runs.
+Performance: every heap entry has one shape, ``(time, seq, fn, arg)``,
+and is dispatched as ``fn(arg)``.  A :class:`Handle` is queued as
+``(time, seq, Handle._fire, handle)``, an :class:`Event` (``Timeout``
+included) as ``(time, seq, Event._process, event)``.  The *anonymous
+fast path* — schedulers that never cancel: core completions, channel
+deliveries, process resumption — queues the callback itself with its
+single argument, so a one-argument job carries no args tuple; any other
+arity is packed once as ``(time, seq, _apply, (fn, args))``.  The fast
+path skips the Handle allocation, its ``__init__`` frame and the
+cancelled/done bookkeeping, which together dominate per-event cost in
+saturated runs; the single shape leaves the untraced loop one call,
+``entry[2](entry[3])``, with no branch on the entry kind.
 
 Batched event execution: saturated protocol runs cluster many entries on
 one timestamp (a broadcast's fan-out, a core draining its backlog).  The
@@ -71,6 +75,12 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+def _apply(packed: tuple) -> None:
+    """Heap-entry trampoline for a callback of any arity but one."""
+    fn, args = packed
+    fn(*args)
+
+
 class Handle:
     """A cancellable reference to a scheduled callback."""
 
@@ -97,10 +107,6 @@ class Handle:
             return
         self.done = True
         self.fn(*self.args)
-
-    #: uniform dispatch protocol shared with :class:`Event`, so the run
-    #: loop never needs an ``isinstance`` branch.
-    _dispatch = _fire
 
 
 class Event:
@@ -129,7 +135,7 @@ class Event:
         # _schedule_event, inlined: triggering is a hot path.
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heapq.heappush(sim._heap, (sim.now, seq, self, None))
+        heapq.heappush(sim._heap, (sim.now, seq, Event._process, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -154,9 +160,6 @@ class Event:
             for fn in callbacks:
                 fn(self)
 
-    #: uniform dispatch protocol shared with :class:`Handle`.
-    _dispatch = _process
-
 
 class Timeout(Event):
     """An event that succeeds after a fixed virtual-time delay."""
@@ -174,7 +177,7 @@ class Timeout(Event):
         self.ok = True
         self.value = value
         sim._seq = seq = sim._seq + 1
-        heapq.heappush(sim._heap, (sim.now + delay, seq, self, None))
+        heapq.heappush(sim._heap, (sim.now + delay, seq, Event._process, self))
 
 
 class AllOf(Event):
@@ -337,7 +340,7 @@ class Simulator:
             )
         handle = Handle(self, time, fn, args)
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, handle, None))
+        heapq.heappush(self._heap, (time, self._seq, Handle._fire, handle))
         return handle
 
     def call_after(self, delay: float, fn: Callable, *args: Any) -> Handle:
@@ -352,8 +355,7 @@ class Simulator:
         else scheduled at the current time is preserved (the shared
         sequence number breaks the tie).
         """
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now, self._seq, fn, args))
+        self.call_anon(self.now, fn, args)
 
     def call_anon(self, time: float, fn: Callable, args: tuple) -> None:
         """Anonymous fast path at an absolute time, for hot schedulers.
@@ -363,11 +365,16 @@ class Simulator:
         Handle allocation and cancellation support are all skipped.
         """
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        if len(args) == 1:
+            heapq.heappush(self._heap, (time, self._seq, fn, args[0]))
+        else:
+            heapq.heappush(self._heap, (time, self._seq, _apply, (fn, args)))
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event, None))
+        heapq.heappush(
+            self._heap, (self.now + delay, self._seq, Event._process, event)
+        )
 
     # -------------------------------------------------------------- factories
     def event(self) -> Event:
@@ -421,26 +428,26 @@ class Simulator:
                         break
                     self.now = time
                     count += 1
-                    target, args = entry[2], entry[3]
-                    if args is not None:
+                    # Name the callback itself, never the trampoline.
+                    fn, arg = entry[2], entry[3]
+                    if fn is Event._process:
+                        tracer.emit(time, "sim.dispatch", type(arg).__name__)
+                    elif fn is Handle._fire:
+                        target = arg.fn
+                        tracer.emit(
+                            time,
+                            "sim.dispatch",
+                            getattr(target, "__qualname__", repr(target)),
+                            cancelled=arg.cancelled,
+                        )
+                    else:
+                        target = arg[0] if fn is _apply else fn
                         tracer.emit(
                             time,
                             "sim.dispatch",
                             getattr(target, "__qualname__", repr(target)),
                         )
-                        target(*args)
-                    elif type(target) is Handle:
-                        fn = target.fn
-                        tracer.emit(
-                            time,
-                            "sim.dispatch",
-                            getattr(fn, "__qualname__", repr(fn)),
-                            cancelled=target.cancelled,
-                        )
-                        target._fire()
-                    else:
-                        tracer.emit(time, "sim.dispatch", type(target).__name__)
-                        target._dispatch()
+                    fn(arg)
             else:
                 # The hot loop: pop once (no peek-then-pop double heap
                 # traversal); a popped entry beyond the limit is pushed
@@ -461,11 +468,7 @@ class Simulator:
                             break
                         self.now = now = time
                     count += 1
-                    args = entry[3]
-                    if args is None:
-                        entry[2]._dispatch()
-                    else:
-                        entry[2](*args)
+                    entry[2](entry[3])
         finally:
             gc.unfreeze()
             self._running = False

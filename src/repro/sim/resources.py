@@ -19,7 +19,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable, List, Optional
 
-from .engine import Simulator
+from .engine import Simulator, _apply
 
 __all__ = ["Core", "CoreSet"]
 
@@ -70,8 +70,12 @@ class Core:
             # Completions are never cancelled: anonymous fast path,
             # inlined (``done >= now`` always holds, the past-check is
             # redundant, and the extra call frame is measurable here).
+            # The usual single argument is queued bare, with no tuple.
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (done, seq, fn, args))
+            if len(args) == 1:
+                heappush(sim._heap, (done, seq, fn, args[0]))
+            else:
+                heappush(sim._heap, (done, seq, _apply, (fn, args)))
         return done
 
     def charge(self, cost: float) -> float:

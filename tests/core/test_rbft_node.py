@@ -32,6 +32,14 @@ def test_single_request_executes_and_replies():
     assert all(node.executed_count == 1 for node in dep.nodes)
 
 
+def test_stage_callbacks_are_bound_once():
+    # A queued core job holds its callback: one bound method per node,
+    # not one per job (see test_queued_job_memory_budget).
+    node = build_rbft(small_config(), n_clients=1).nodes[0]
+    for name in node._STAGE_CALLBACKS:
+        assert getattr(node, name) is getattr(node, name), name
+
+
 def test_all_instances_order_every_request():
     dep = build_rbft(small_config(), n_clients=4)
     drive(dep, 40)

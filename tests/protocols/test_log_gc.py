@@ -313,6 +313,35 @@ def test_invalid_signature_propagate_flood_leaves_no_votes():
     assert all(node.log_sizes()["propagate_votes"] == 0 for node in dep.nodes)
 
 
+def test_forged_propagate_flood_closes_the_senders_nic():
+    # A correct replica checks a body before echoing it, so each forged
+    # PROPAGATE proves its sender faulty (§V).  10^4 fresh ids, one per
+    # 20 us over the wire: once the flood threshold is crossed the
+    # victim closes the sender's NIC, and the rest of the flood is
+    # dropped in hardware instead of costing a signature check each.
+    dep = build_rbft(RBFTConfig(), n_clients=1)
+    sender, victim = dep.cluster.machines[3], dep.nodes[1]
+    for rid in range(1, 10_001):
+        msg = _propagate("node3", _client_request(rid, False))
+        dep.sim.call_at(rid * 20e-6, sender.send_to_node, victim.name, msg)
+    dep.sim.run(until=0.5)
+    assert victim.nics_closed >= 1
+    assert victim.machine.peer_nics["node3"].closed
+    # Only the checks queued before the NIC closed are charged.
+    assert victim.verification_core.jobs < 1_000
+    assert victim.log_sizes()["propagate_votes"] == 0
+
+
+def test_honest_propagates_are_never_counted_as_invalid():
+    dep = build_rbft(RBFTConfig(), n_clients=4)
+    for i in range(40):
+        dep.sim.call_at(i * 1e-3, dep.clients[i % 4].send_request)
+    dep.sim.run(until=0.5)
+    assert all(node.executed_count == 40 for node in dep.nodes)
+    assert all(not node._invalid_times for node in dep.nodes)
+    assert all(node.nics_closed == 0 for node in dep.nodes)
+
+
 def test_tampered_propagate_keeps_the_honest_vote():
     # A Byzantine replica races an invalid-signature copy of a real
     # request against an honest PROPAGATE of it: the honest vote lands

@@ -10,7 +10,9 @@ and zero-delay rescheduling.
 
 import pytest
 
-from repro.sim import Simulator
+from repro.net.network import LinkProfile, Network
+from repro.net.nic import NIC
+from repro.sim import Core, Simulator
 from repro.trace import ListSink, Tracer
 
 
@@ -60,6 +62,123 @@ def test_time_seq_contract_holds_on_both_loops(traced):
 
 def test_traced_and_batched_loops_agree():
     assert _run_interleaving(False) == _run_interleaving(True)
+
+
+class _Msg:
+    """Minimal message stand-in for a channel delivery."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def wire_size(self):
+        return 64
+
+
+def fire(log, label):
+    log.append(label)
+
+
+class _Fire0:
+    """A labelled zero-argument callback: its bound ``run``."""
+
+    def __init__(self, log, label):
+        self.log, self.label = log, label
+
+    def run(self):
+        self.log.append(self.label)
+
+
+class _Sink:
+    def __init__(self, log):
+        self.log = log
+
+    def deliver(self, msg):
+        self.log.append(msg.label)
+
+
+def _run_every_kind(traced):
+    """Every heap-entry kind queued at one timestamp, in a known order.
+
+    Returns the firing log and the traced ``sim.dispatch`` records as
+    ``(name, data)`` pairs (empty when untraced).
+    """
+    sim = Simulator()
+    sink = ListSink()
+    if traced:
+        sim.tracer = Tracer(sink=sink, enabled=True)
+    log = []
+    core = Core(sim, "cpu")
+    # Unconstrained NICs and a zero-latency link: a send delivers now.
+    channel = Network(sim).connect(
+        "a", "b", NIC(sim, "a", float("inf")), NIC(sim, "b", float("inf")),
+        _Sink(log).deliver,
+        LinkProfile(latency=0.0, jitter=0.0, tcp_overhead=0.0),
+    )
+
+    def schedule_every_kind():
+        now = sim.now
+        sim.call_at(now, fire, log, "handle")
+        sim.call_at(now, fire, log, "cancelled").cancel()
+        event = sim.event()
+        event.add_callback(lambda _: log.append("event"))
+        event.succeed()
+        sim.timeout(0.0).add_callback(lambda _: log.append("timeout"))
+        sim.call_soon(_Fire0(log, "soon-0").run)
+        sim.call_soon(log.append, "soon-1")
+        sim.call_soon(fire, log, "soon-2")
+        sim.call_anon(now, _Fire0(log, "anon-0").run, ())
+        sim.call_anon(now, log.append, ("anon-1",))
+        sim.call_anon(now, fire, (log, "anon-2"))
+        core.submit(0.0, _Fire0(log, "core-0").run)
+        core.submit(0.0, log.append, "core-1")
+        core.submit(0.0, fire, log, "core-2")
+        channel.send(_Msg("delivery"))
+
+    sim.call_at(2.0, fire, log, "late")
+    sim.call_at(1.0, fire, log, "queued-before")
+    sim.call_at(1.0, schedule_every_kind)
+    sim.run()
+    dispatches = [
+        (event.name, event.data) for event in sink if event.kind == "sim.dispatch"
+    ]
+    return log, dispatches
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["batched", "traced"])
+def test_every_entry_kind_ties_fifo_by_seq(traced):
+    log, _ = _run_every_kind(traced)
+    assert log == [
+        "queued-before",
+        "handle",
+        "event",
+        "timeout",
+        "soon-0", "soon-1", "soon-2",
+        "anon-0", "anon-1", "anon-2",
+        "core-0", "core-1", "core-2",
+        "delivery",
+        "late",
+    ]
+
+
+def test_traced_loop_names_every_entry_kind():
+    # Handles name their callback and carry ``cancelled``; events their
+    # class; anonymous entries the callback itself, whatever its arity.
+    _, dispatches = _run_every_kind(True)
+    live, cancelled = {"cancelled": False}, {"cancelled": True}
+    arities = [("_Fire0.run", {}), ("list.append", {}), ("fire", {})]
+    assert dispatches == [
+        ("fire", live),
+        ("_run_every_kind.<locals>.schedule_every_kind", live),
+        ("fire", live),
+        ("fire", cancelled),
+        ("Event", {}),
+        ("Timeout", {}),
+        *arities,  # call_soon
+        *arities,  # call_anon
+        *arities,  # Core.submit
+        ("_Sink.deliver", {}),
+        ("fire", live),
+    ]
 
 
 def test_cancel_within_current_batch_prevents_firing():

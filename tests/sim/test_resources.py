@@ -79,6 +79,36 @@ def test_zero_cost_jobs_preserve_order():
     assert done == [1, 2]
 
 
+def test_queued_job_memory_budget():
+    """What one job waiting in a core's backlog costs the host.
+
+    A saturated core (worst-attack-1's Verification module) holds its
+    backlog as heap entries.  With the callback bound once, a queued job
+    read 184 traced bytes when its single argument travelled in a
+    ``(arg,)`` tuple and 136 once it is queued bare; the ceiling sits
+    between.
+    """
+    import tracemalloc
+
+    jobs = 10_000
+    sim = Simulator()
+    core = Core(sim, "c")
+    done = []
+    callback = done.append  # bound once, like RBFTNode's stage callbacks
+    payloads = [object() for _ in range(jobs)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for payload in payloads:
+            core.submit(1e-6, callback, payload)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (after - before) / jobs <= 160
+    sim.run()
+    assert done == payloads
+
+
 def test_coreset_allocates_distinct_cores():
     sim = Simulator()
     cores = CoreSet(sim, 4, "node0")

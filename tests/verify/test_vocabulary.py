@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import RBFTConfig
+from repro.experiments import SMOKE, make_deployment
 from repro.experiments.deployments import build_rbft
 from repro.verify import NetworkInterceptor, Rule, fault, install_plan
 from repro.verify.vocabulary import FAULT_KINDS, FaultSpec
@@ -133,6 +134,20 @@ def test_duplicate_rule_delivers_twice():
     dep.sim.run(until=1.0)
     assert channel.delivered == 2
     assert interceptor.duplicated == 1
+
+
+@pytest.mark.parametrize("protocol", ["spinning", "rbft-udp"])
+def test_isolate_covers_udp_multicast(protocol):
+    # Spinning's node broadcasts and every UDP client broadcast go out
+    # as one multicast transmission; the hook must still see each copy.
+    dep = make_deployment(protocol, f=1, scale=SMOKE, n_clients=2)
+    interceptor = NetworkInterceptor(dep).isolate("node1")
+    for client in dep.clients:
+        client.send_request()
+    dep.sim.run(until=0.05)
+    into_node1 = [c for c in interceptor.channels if c.dst == "node1"]
+    assert sum(c.delivered for c in into_node1) == 0
+    assert interceptor.dropped > 0
 
 
 class _Probe:
