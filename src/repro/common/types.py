@@ -124,8 +124,8 @@ class RequestIdentifier:
 class Reply:
     """The result of executing a request, sent node → client (step 6).
 
-    Every node keeps the last one per client identity (its reply
-    cache), so nothing is stored beyond the fields: ``request_id`` is
+    Every node keeps the last one per client identity (in its
+    ``ExecutedIds`` table), so nothing is stored beyond the fields: ``request_id`` is
     read off the hot path and built on demand.  It names no node — the
     sender travels on the ``ReplyMsg`` — so the replicas that computed
     the same result share one object (:meth:`Request.reply`).

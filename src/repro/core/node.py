@@ -34,12 +34,12 @@ from repro.common.quorum import (
     weak_quorum_size,
 )
 from repro.common.statemachine import Service
-from repro.common.types import Reply, Request
+from repro.common.types import Request
 from repro.crypto.blacklist import ClientBlacklist
 from repro.crypto.costmodel import MESSAGE_HEADER_SIZE
 from repro.crypto.primitives import Mac, MacAuthenticator
 from repro.net.message import Message
-from repro.protocols.base import ClientRequestMsg, ReplyMsg
+from repro.protocols.base import ClientReplies, ClientRequestMsg
 from repro.protocols.pbft.engine import OrderingInstance, RequestPool
 from repro.protocols.pbft.messages import OrderingMessage
 
@@ -91,7 +91,7 @@ class BatchingInstanceTransport:
         self.machine.send_to_node(replica, msg)
 
 
-class RBFTNode:
+class RBFTNode(ClientReplies):
     """One physical machine of an RBFT deployment."""
 
     #: completion callbacks handed to the module and replica cores.  Each
@@ -187,9 +187,8 @@ class RBFTNode:
         self._ordered_by: Dict[Tuple[str, int], int] = {}
 
         # Execution state ----------------------------------------------------
+        #: executed ids and each client's last reply, one table.
         self.executed_ids = ExecutedIds()
-        #: last reply per client identity (the Reply carries its rid).
-        self.reply_cache: Dict[str, Reply] = {}
         self.executed_count = 0
         self.invalid_requests = 0
 
@@ -649,20 +648,8 @@ class RBFTNode:
                 stage="execution", client=request.client,
                 rid=request.rid,
             )
-        reply = request.reply(result, result_size)
-        self.reply_cache[request.client] = reply
-        self._send_reply(reply)
+        self._reply(request.reply(result, result_size))
         self.request_store.pop(request.request_id, None)
-
-    def _send_reply(self, reply: Reply) -> None:
-        channel = self.machine.channel_to_client(reply.client)
-        if channel is not None:
-            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
-
-    def _resend_reply(self, request: Request) -> None:
-        cached = self.reply_cache.get(request.client)
-        if cached is not None and cached.rid == request.rid:
-            self._send_reply(cached)
 
     # ------------------------------------------------ Instance change (§IV-D)
     def _on_monitor_trigger(self, reason: str) -> None:

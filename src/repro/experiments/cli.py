@@ -242,14 +242,19 @@ def _cmd_run(args) -> int:
 def _cmd_profile(args) -> int:
     from .profiling import profile_report
 
-    print(profile_report(
-        args.fig,
-        payload=args.payload if args.payload is not None else None,
-        f=args.f,
-        top=args.top,
-        trace_out=args.trace_out,
-    ))
-    return 0
+    try:
+        report = profile_report(
+            args.fig,
+            payload=args.payload,
+            f=args.f,
+            top=args.top,
+            trace_out=args.trace_out,
+        )
+    except ValueError as exc:
+        print("profile: %s" % exc, file=sys.stderr)
+        return EX_USAGE
+    print(report)
+    return EX_OK
 
 
 def _cmd_explore(args) -> int:

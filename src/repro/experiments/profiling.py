@@ -10,6 +10,7 @@ request size* — directly from the reproduction, per run.
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 from repro.clients import LoadGenerator, build_profile
@@ -73,6 +74,8 @@ def profile_run(
         ) from None
     scale = scale or SMOKE
     payload = default_payload if payload is None else payload
+    if payload < 0:
+        raise ValueError("payload must be >= 0, got %r" % (payload,))
     capacity = probe_capacity(protocol, payload, scale, f=f, seed=seed)
     deployment = make_deployment(protocol, payload, scale, f=f, seed=seed)
     send_kwargs = {}
@@ -102,7 +105,17 @@ def profile_report(
     top: int = 16,
     trace_out: Optional[str] = None,
 ) -> str:
-    """Profile ``fig`` and return the formatted per-core report."""
+    """Profile ``fig`` and return the formatted per-core report.
+
+    Raises ``ValueError`` before the run for a ``top`` below 1 or a
+    ``trace_out`` whose directory does not exist.
+    """
+    if top < 1:
+        raise ValueError("top must be >= 1, got %r" % (top,))
+    if trace_out:
+        directory = os.path.dirname(trace_out) or "."
+        if not os.path.isdir(directory):
+            raise ValueError("trace_out directory %r does not exist" % directory)
     tracer, deployment, duration = profile_run(
         fig, scale=scale, payload=payload, f=f, seed=seed
     )

@@ -86,6 +86,8 @@ class Scenario:
     workload: Optional[Union[str, Workload]] = None
 
     def __post_init__(self):
+        if self.payload < 0:
+            raise ValueError("payload must be >= 0, got %r" % (self.payload,))
         duration, warmup = self.duration, self.warmup
         if duration is not None and duration <= 0:
             raise ValueError("duration must be > 0, got %r" % (duration,))

@@ -17,7 +17,7 @@ mechanisms on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.common.cluster import Machine
 from repro.common.executed import ExecutedIds
@@ -31,7 +31,7 @@ from repro.net.message import Message
 from .pbft.engine import InstanceConfig, OrderingInstance
 from .pbft.messages import OrderingMessage
 
-__all__ = ["ClientRequestMsg", "ReplyMsg", "NodeConfig", "BftNode"]
+__all__ = ["ClientRequestMsg", "ReplyMsg", "NodeConfig", "ClientReplies", "BftNode"]
 
 
 class ClientRequestMsg(Message):
@@ -79,7 +79,37 @@ class NodeConfig:
         return self.instance.n
 
 
-class BftNode:
+class ClientReplies:
+    """Replies to clients from the node's one per-client table.
+
+    ``executed_ids`` (:class:`ExecutedIds`) holds both what executed and
+    each client's last reply, so a retransmission of the last request is
+    answered from it.  The host class provides ``executed_ids``,
+    ``machine``, ``name`` and ``_reply_mac``.
+    """
+
+    @property
+    def reply_cache(self) -> Mapping[str, Reply]:
+        """Read-only ``client -> last reply`` view of ``executed_ids``."""
+        return self.executed_ids.replies()
+
+    def _reply(self, reply: Reply) -> None:
+        """Record ``reply`` as its client's last, then send it."""
+        self.executed_ids.record_reply(reply)
+        self._send_reply(reply)
+
+    def _send_reply(self, reply: Reply) -> None:
+        channel = self.machine.channel_to_client(reply.client)
+        if channel is not None:
+            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
+
+    def _resend_reply(self, request: Request) -> None:
+        reply = self.executed_ids.reply_for(request)
+        if reply is not None:
+            self._send_reply(reply)
+
+
+class BftNode(ClientReplies):
     """One machine running one replica (baseline protocols)."""
 
     def __init__(self, machine: Machine, config: NodeConfig, service: Service):
@@ -109,9 +139,8 @@ class BftNode:
             senders=machine.cluster.senders,
         )
         self.blacklist = ClientBlacklist()
+        #: executed ids and each client's last reply, one table.
         self.executed_ids = ExecutedIds()
-        #: last reply per client identity (the Reply carries its rid).
-        self.reply_cache: Dict[str, Reply] = {}
         self._reply_mac = Mac(self.name)
         self.executed_count = 0
         self.invalid_requests = 0
@@ -195,23 +224,11 @@ class BftNode:
     def _execute_one(self, request: Request) -> None:
         result, result_size = self.service.apply(request)
         self.executed_count += 1
-        reply = request.reply(result, result_size)
-        self.reply_cache[request.client] = reply
-        self._send_reply(reply)
+        self._reply(request.reply(result, result_size))
         self.on_executed(request)
 
     def on_executed(self, request: Request) -> None:
         """Hook: monitoring counters etc."""
-
-    def _send_reply(self, reply: Reply) -> None:
-        channel = self.machine.channel_to_client(reply.client)
-        if channel is not None:
-            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
-
-    def _resend_reply(self, request: Request) -> None:
-        cached = self.reply_cache.get(request.client)
-        if cached is not None and cached.rid == request.rid:
-            self._send_reply(cached)
 
     # ----------------------------------------------------------- inspection
     @property

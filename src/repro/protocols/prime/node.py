@@ -115,6 +115,8 @@ class PrimeNode:
         self._next_order_exec = 1
         self._ordered_vectors: Dict[int, Dict[str, int]] = {}
         self._held_orders: List[PrimeOrder] = []
+        #: executed ids only: Prime answers no retransmission, so the
+        #: table records no replies.
         self.executed_ids = ExecutedIds()
         self._reply_mac = Mac(self.name)
         self.executed_count = 0

@@ -316,8 +316,10 @@ def test_per_identity_memory_budget():
     grow) read 1 867 traced peak bytes each with dict-backed replies, a
     ``(rid, reply)`` cache tuple and interned per-identity tags, 1 256
     with flat records, 1 005 before the n replicas shared one ``Reply``
-    per request and the seen identities became a bitmap, 754 after; the
-    ceiling sits between the last two.
+    per request and the seen identities became a bitmap, 754 after, and
+    667 once the reply became the identity's one ``ExecutedIds`` entry
+    (one dict entry per node, not two); the ceiling sits between the
+    last two.
     """
     import tracemalloc
 
@@ -342,4 +344,4 @@ def test_per_identity_memory_budget():
         tracemalloc.stop()
     assert population.completed == identities
     assert len(population.identities_seen) == identities
-    assert (peak - before) / identities <= 880
+    assert (peak - before) / identities <= 710

@@ -1,15 +1,20 @@
-"""``ExecutedIds`` against the plain ``set`` of tuples it replaced.
+"""``ExecutedIds`` against the pair of stores it replaced.
 
-The class must be indistinguishable from ``set`` through every operator
-the nodes and the invariant checkers use — for every rid a client (or a
-Byzantine one) can send — while storing O(clients) ints, not
-O(requests) tuples.
+As a set the class must be indistinguishable from ``set`` through every
+operator the nodes and the invariant checkers use — for every rid a
+client (or a Byzantine one) can send — while storing O(clients) ints,
+not O(requests) tuples.  As a reply cache it must be indistinguishable
+from a ``client -> last reply written`` dict, whatever the order of
+executions and replies.
 """
 
 import random
+from collections import namedtuple
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.common import Reply
 from repro.common.executed import ExecutedIds
 
 CLIENTS = ["c0", "c1", "pop#7", "pop#8"]
@@ -53,6 +58,99 @@ def test_behaves_as_the_tuple_set_after_every_step(steps, other):
         model.add(request_id)
         assert_same(executed, model, other)
     assert ExecutedIds(steps) == model
+
+
+#: what ``reply_for`` reads off a request: its client and rid.
+Probe = namedtuple("Probe", "client rid")
+
+#: a reply names its rid by role: the client's newest or oldest executed
+#: rid (an older reply written after a newer add), or any drawn rid.
+REPLY_STEPS = st.tuples(
+    st.just("reply"),
+    st.sampled_from(CLIENTS),
+    st.one_of(st.sampled_from(["newest", "oldest"]), RIDS),
+    st.sampled_from(["ok", "diverged"]),  # a replica's own, differing result
+)
+TABLE_STEPS = st.lists(
+    st.one_of(st.tuples(st.just("add"), st.sampled_from(CLIENTS), RIDS),
+              REPLY_STEPS),
+    max_size=60,
+)
+
+
+def assert_same_replies(executed, replies, probes):
+    view = executed.replies()
+    assert len(view) == len(replies)
+    assert sorted(view) == sorted(replies)  # iteration, no duplicates
+    assert view == replies
+    for client in CLIENTS + ["stranger"]:
+        assert (client in view) == (client in replies)
+        assert view.get(client) is replies.get(client)
+        if client not in replies:
+            with pytest.raises(KeyError):
+                view[client]
+    for client, rid in probes:
+        last = replies.get(client)
+        expected = last if last is not None and last.rid == rid else None
+        assert executed.reply_for(Probe(client, rid)) is expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=TABLE_STEPS, other=OTHER)
+# a population identity: its one rid, then the reply standing for it
+@example(steps=[("add", "pop#7", 31337), ("reply", "pop#7", "newest", "ok")],
+         other={("pop#7", 31337)})
+# resampled: a second rid arrives after the first was answered
+@example(steps=[("add", "pop#7", 31337), ("reply", "pop#7", "newest", "ok"),
+                ("add", "pop#7", 40000), ("reply", "pop#7", "oldest", "ok")],
+         other=set())
+# the older rid's reply is written after the newer rid executed
+@example(steps=[("add", "c0", 5), ("add", "c0", 9),
+                ("reply", "c0", "newest", "ok"),
+                ("reply", "c0", "oldest", "ok")], other=set())
+# the gap closes under a reply that stands for a rid ahead of it
+@example(steps=[("add", "c0", 2), ("reply", "c0", "newest", "ok"),
+                ("add", "c0", 1), ("reply", "c0", "newest", "diverged")],
+         other={("c0", 2)})
+@example(steps=[("add", "c0", 2 ** 62), ("reply", "c0", "newest", "ok"),
+                ("add", "c0", 0), ("add", "c0", 2 ** 62),
+                ("reply", "c0", -1, "ok")], other=set())
+def test_behaves_as_the_set_and_reply_dict_after_every_step(steps, other):
+    executed, model, replies = ExecutedIds(), set(), {}
+    added = {}  # client -> rids in add order, to name "newest"/"oldest"
+    probes = set()
+    for step in steps:
+        if step[0] == "add":
+            _, client, rid = step
+            fresh = (client, rid) not in model
+            assert executed.add((client, rid)) is fresh
+            model.add((client, rid))
+            added.setdefault(client, []).append(rid)
+        else:
+            _, client, rid, result = step
+            if rid in ("newest", "oldest"):
+                history = added.get(client) or [1]
+                rid = history[-1] if rid == "newest" else history[0]
+            reply = Reply(client, rid, result)
+            executed.record_reply(reply)
+            replies[client] = reply
+        probes |= {(client, rid), (client, rid + 1)}
+        assert_same(executed, model, other)
+        assert_same_replies(executed, replies, probes | other)
+
+
+def test_a_population_identity_costs_one_entry_once_answered():
+    # The reply carries the identity's one rid: it replaces the int.
+    executed = ExecutedIds()
+    executed.add(("pop#7", 31337))
+    reply = Reply("pop#7", 31337, "ok")
+    executed.record_reply(reply)
+    assert executed._ahead == {"pop#7": reply} and not executed._replies
+    assert ("pop#7", 31337) in executed and executed.stored_entries() == 1
+    # A sequential client's reply sits beside its watermark.
+    executed.add(("c0", 1))
+    executed.record_reply(Reply("c0", 1, "ok"))
+    assert executed._high == {"c0": 1} and list(executed._replies) == ["c0"]
 
 
 def test_plain_set_operands_reflect_onto_the_class():

@@ -235,3 +235,30 @@ def test_pinned_episode_validator(tmp_path):
     verdict = run(deep_dir)
     assert verdict.returncode == 1
     assert "batching threshold" in verdict.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--f", "0"], "needs f >= 1"),  # used to die on a traceback, exit 1
+        (["--f", "-1"], "needs f >= 1"),
+        (["--top", "0"], "top must be >= 1"),
+        (["--payload", "-5"], "payload must be >= 0"),
+        # used to raise FileNotFoundError only after the whole run
+        (["--trace-out", "no/such/dir/fig7.jsonl"], "does not exist"),
+    ],
+)
+def test_profile_invalid_values_are_usage_errors(flags, reason, capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile", "fig7"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("profile: ") and reason in captured.err
+    assert captured.out == ""
+
+
+def test_run_negative_payload_is_a_usage_error(capsys):
+    # used to simulate negative-size requests and exit 0
+    assert main(["run", "--payload", "-5", "--rate", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "payload must be >= 0" in err

@@ -93,6 +93,35 @@ def test_run_rejects_a_resolved_warmup_past_the_duration(monkeypatch):
         run(Scenario(protocol="rbft", scale=SMOKE, duration=0.1))
 
 
+def test_scenario_rejects_a_negative_payload():
+    with pytest.raises(ValueError, match="payload must be >= 0"):
+        Scenario(protocol="rbft", payload=-5)
+    assert Scenario(protocol="rbft", payload=0).payload == 0
+
+
+@pytest.mark.parametrize(
+    "arguments, reason",
+    [
+        (dict(top=0), "top must be >= 1"),
+        (dict(trace_out="no/such/dir/fig7.jsonl"), "does not exist"),
+        (dict(payload=-1), "payload must be >= 0"),
+    ],
+)
+def test_profile_rejects_bad_arguments_before_simulating(
+    arguments, reason, monkeypatch, tmp_path
+):
+    from repro.experiments import profiling
+
+    def built(*args, **kwargs):
+        raise AssertionError("simulated before validating the arguments")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(profiling, "probe_capacity", built)
+    monkeypatch.setattr(profiling, "make_deployment", built)
+    with pytest.raises(ValueError, match=reason):
+        profiling.profile_report("fig7", **arguments)
+
+
 def test_with_replaces_fields():
     base = Scenario(protocol="rbft", workload=Workload("static", rate=2000.0))
     attacked = base.with_(attack="rbft-worst1", seed=9)
