@@ -550,8 +550,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_explore(args)
     if args.command == "check":
         return _cmd_check(args)
+    # A figure's flags are checked before any capacity probe runs.
+    jobs = 1 if args.jobs is None else args.jobs
+    for bad, reason in ((args.f < 1, "needs f >= 1 (got f=%d)" % args.f),
+                        (args.payload < 0, "payload must be >= 0, got %d" % args.payload),
+                        (jobs < 1, "jobs must be >= 1, got %d" % jobs)):
+        if bad:
+            print("%s: %s" % (args.command, reason), file=sys.stderr)
+            return EX_USAGE
     COMMANDS[args.command][0](args)
-    return 0
+    return EX_OK
 
 
 if __name__ == "__main__":

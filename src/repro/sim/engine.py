@@ -20,10 +20,15 @@ anonymous fast-path callable.  Two runs with the same seed replay the
 exact same schedule, and callers may rely on same-timestamp callbacks
 firing in the order they were scheduled.  The sequence number is unique,
 so tuple comparison never reaches the heterogeneous third element.
-Anything that re-orders same-timestamp entries (including the batched
-clock update below) must preserve this contract;
-``tests/sim/test_engine.py`` pins it for both the traced and untraced
-loops.
+A job waiting on a busy :class:`~repro.sim.resources.Core` is pushed
+when the job ahead of it completes, but under the ``(time, seq)`` drawn
+at *submit*: a fresh ``seq`` would sort it behind same-time entries
+scheduled in between, which it precedes.  The job ahead has a smaller
+key, so the entry is queued before it can be the minimum and pops
+exactly where one queued at submit would.  Anything that re-orders
+same-timestamp entries (including the batched clock update below) must
+preserve this contract; ``tests/sim/test_engine.py`` pins it for both
+loops, ``tests/sim/test_core_backlog.py`` for a core's backlog.
 
 Performance: every heap entry has one shape, ``(time, seq, fn, arg)``,
 and is dispatched as ``fn(arg)``.  A :class:`Handle` is queued as
@@ -79,6 +84,11 @@ def _apply(packed: tuple) -> None:
     """Heap-entry trampoline for a callback of any arity but one."""
     fn, args = packed
     fn(*args)
+
+
+#: Trampoline -> function of its argument naming the callback it runs,
+#: for the traced loop; ``repro.sim.resources`` adds ``Core._complete``.
+_LOOK_THROUGH: dict = {_apply: lambda packed: packed[0]}
 
 
 class Handle:
@@ -441,7 +451,8 @@ class Simulator:
                             cancelled=arg.cancelled,
                         )
                     else:
-                        target = arg[0] if fn is _apply else fn
+                        look = _LOOK_THROUGH.get(fn)
+                        target = fn if look is None else look(arg)
                         tracer.emit(
                             time,
                             "sim.dispatch",

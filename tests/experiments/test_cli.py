@@ -262,3 +262,30 @@ def test_run_negative_payload_is_a_usage_error(capsys):
     assert main(["run", "--payload", "-5", "--rate", "100"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("run: ") and "payload must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["fig8", "--f", "0"], "needs f >= 1"),  # used to die on a traceback, exit 1
+        (["fig10", "--f", "-1"], "needs f >= 1"),
+        (["fig7", "--payload", "-5"], "payload must be >= 0"),  # likewise
+        (["fig9", "--payload", "-1"], "payload must be >= 0"),
+        (["table1", "--jobs", "0"], "jobs must be >= 1"),  # used to run serially
+        (["fig2", "--jobs", "-3"], "jobs must be >= 1"),
+    ],
+)
+def test_figure_invalid_values_are_usage_errors(argv, reason, capsys, monkeypatch):
+    # Rejected before any capacity probe or simulation is started.
+    import repro.experiments.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a figure ran on invalid flags")
+
+    for runner in ("attack_sweep", "latency_throughput_curve", "monitoring_view",
+                   "table1", "unfair_primary_run"):
+        monkeypatch.setattr(cli, runner, no_run)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(argv[0] + ": ") and reason in captured.err
+    assert captured.out == ""

@@ -181,6 +181,24 @@ def test_traced_loop_names_every_entry_kind():
     ]
 
 
+def test_traced_loop_names_a_held_core_job():
+    # Jobs behind another wait on the core behind its one trampoline
+    # entry; the record names each job's callback, never Core._complete.
+    sim = Simulator()
+    sink = ListSink()
+    sim.tracer = Tracer(sink=sink, enabled=True)
+    log = []
+    core = Core(sim, "cpu")
+    core.submit(1.0, log.append, "direct")
+    core.submit(1.0, _Fire0(log, "held").run)
+    core.submit(1.0, fire, log, "backlog")
+    sim.run()
+    assert log == ["direct", "held", "backlog"]
+    assert [e.name for e in sink if e.kind == "sim.dispatch"] == [
+        "list.append", "_Fire0.run", "fire",
+    ]
+
+
 def test_cancel_within_current_batch_prevents_firing():
     """Cancelling a later same-timestamp handle from an earlier one works.
 

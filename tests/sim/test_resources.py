@@ -82,11 +82,12 @@ def test_zero_cost_jobs_preserve_order():
 def test_queued_job_memory_budget():
     """What one job waiting in a core's backlog costs the host.
 
-    A saturated core (worst-attack-1's Verification module) holds its
-    backlog as heap entries.  With the callback bound once, a queued job
-    read 184 traced bytes when its single argument travelled in a
-    ``(arg,)`` tuple and 136 once it is queued bare; the ceiling sits
-    between.
+    A saturated core (worst-attack-1's Verification module) holds a deep
+    backlog.  With the callback bound once, a queued job read 184 traced
+    bytes as a heap entry whose single argument travelled in a
+    ``(arg,)`` tuple, 136 once it was queued bare, and ≈ 33 since it
+    waits on the core (two machine words, two references); the ceiling
+    sits well below a heap entry.
     """
     import tracemalloc
 
@@ -104,9 +105,35 @@ def test_queued_job_memory_budget():
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (after - before) / jobs <= 160
+    assert (after - before) / jobs <= 64
     sim.run()
     assert done == payloads
+
+
+def test_saturated_core_holds_one_heap_entry():
+    sim = Simulator()
+    core = Core(sim, "c")
+    done = []
+    core.charge(1.0)  # busy: every job below waits behind another
+    for job in range(10_000):
+        core.submit(1e-6, done.append, job)
+    assert len(sim._heap) == 1
+    sim.run()
+    assert done == list(range(10_000))
+
+
+def test_drained_core_releases_its_backlog():
+    # An idle core costs nothing: the backlog containers go once drained.
+    sim = Simulator()
+    core = Core(sim, "c")
+    done = []
+    for job in range(200):
+        core.submit(1e-6, done.append, job)
+    assert core._calls is not None
+    sim.run()
+    assert len(done) == 200
+    assert (core._fn, core._arg) == (None, None)
+    assert core._dones is None and core._seqs is None and core._calls is None
 
 
 def test_coreset_allocates_distinct_cores():

@@ -2,10 +2,10 @@
 """What one queued kernel entry costs the host, in traced bytes.
 
 A saturated core (worst-attack-1's Verification module, §VI-C) holds its
-backlog as simulator heap entries, and every message on the wire is one
-more until it is delivered, so bytes per entry set the peak RSS of a
-run that builds a backlog.  Three shapes are measured with tracemalloc,
-each over ``JOBS`` entries left queued:
+backlog on the core, behind one heap entry, and every message on the
+wire is one more heap entry until it is delivered, so bytes per entry
+set the peak RSS of a run that builds a backlog.  Three shapes are
+measured with tracemalloc, each over ``JOBS`` entries left queued:
 
 * ``core_job_prebound`` — ``Core.submit(cost, fn, arg)`` with ``fn``
   bound once, as ``RBFTNode`` binds its stage callbacks;
@@ -14,6 +14,9 @@ each over ``JOBS`` entries left queued:
   method is not pre-bound);
 * ``channel_delivery`` — ``Channel.send`` of a pre-built message,
   delivery still pending.
+
+``core_backlog_heap_entries`` is the structural witness: the kernel
+heap's length once ``JOBS`` jobs wait on one busy core.
 
 Ungated — CI's ``ledger-selftest`` job prints and uploads the record per
 push (docs/simulator.md, "Memory per queued job").
@@ -78,6 +81,13 @@ def measure(jobs: int) -> dict:
             core.submit(1e-6, stage.after, item)
         return core
 
+    def backlog_heap_entries():
+        core, after = Core(Simulator()), stage.after
+        core.charge(1.0)  # busy: every job waits behind another
+        for item in items:
+            core.submit(1e-6, after, item)
+        return len(core.sim._heap)
+
     msgs = [_Msg() for _ in range(jobs)]
 
     def deliveries():
@@ -93,6 +103,7 @@ def measure(jobs: int) -> dict:
         "core_job_prebound_b": _bytes_per_entry(jobs, prebound),
         "core_job_bound_per_call_b": _bytes_per_entry(jobs, bound_per_call),
         "channel_delivery_b": _bytes_per_entry(jobs, deliveries),
+        "core_backlog_heap_entries": backlog_heap_entries(),
     }
 
 
