@@ -94,8 +94,7 @@ class RBFTConfig:
             raise ValueError("Λ and Ω must be positive")
         if self.monitoring_period <= 0:
             raise ValueError("monitoring_period must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        self.instance_config()  # validates the per-instance knobs
         if self.pacing_f_threshold < 1:
             raise ValueError("pacing_f_threshold must be at least 1")
         if self.paced_batch_delay <= 0:

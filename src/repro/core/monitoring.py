@@ -13,6 +13,7 @@ healthy (§VI-C-3).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.recorder import TimeSeries, WindowedCounter
@@ -21,6 +22,9 @@ from repro.sim.engine import Simulator
 from .config import RBFTConfig
 
 __all__ = ["InstanceMonitor"]
+
+#: an instance's latency accumulators before its window's first sample.
+_NO_SAMPLES = MappingProxyType({})
 
 
 class InstanceMonitor:
@@ -49,9 +53,10 @@ class InstanceMonitor:
         self.rate_series: List[TimeSeries] = [
             TimeSeries("instance-%d" % k) for k in range(instances)
         ]
-        # per-window, per-instance, per-client latency accumulators
-        self._lat_sum: List[Dict[str, float]] = [dict() for _ in range(instances)]
-        self._lat_count: List[Dict[str, int]] = [dict() for _ in range(instances)]
+        # per-window, per-instance, per-client latency accumulators,
+        # allocated at the window's first sample (batched backups record none)
+        self._lat_sum: List[Dict[str, float]] = [_NO_SAMPLES] * instances
+        self._lat_count: List[Dict[str, int]] = [_NO_SAMPLES] * instances
         self.triggers: List[Tuple[float, str]] = []
         self._breach_at: Optional[float] = None
         self._delta_breaches = 0  # consecutive windows below Δ
@@ -78,6 +83,9 @@ class InstanceMonitor:
     def record_latency(self, instance: int, client: str, latency: float) -> None:
         sums = self._lat_sum[instance]
         counts = self._lat_count[instance]
+        if sums is _NO_SAMPLES:
+            sums = self._lat_sum[instance] = {}
+            counts = self._lat_count[instance] = {}
         sums[client] = sums.get(client, 0.0) + latency
         counts[client] = counts.get(client, 0) + 1
 
@@ -118,8 +126,7 @@ class InstanceMonitor:
             self.last_rates[k] = rate
             self.rate_series[k].append(self.sim.now, rate)
         for k in range(len(self.nbreqs)):
-            self._lat_sum[k] = {}
-            self._lat_count[k] = {}
+            self._lat_sum[k] = self._lat_count[k] = _NO_SAMPLES
         master = self.master
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:

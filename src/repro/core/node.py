@@ -23,6 +23,7 @@ configurable period.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.batching import CertificateCoalescer
@@ -147,25 +148,31 @@ class RBFTNode(ClientReplies):
         instance_config = config.instance_config()
         backup_config = config.backup_instance_config()
         senders = machine.cluster.senders
-        pool = RequestPool()  # one for the f + 1 local replicas
+        # What the f + 1 local replicas share, built once: the request
+        # pool, the (stateless) transports, the guard and the handler
+        # every ordered-batch callback binds its instance id to.
+        pool = RequestPool()
+        transport = InstanceTransport(machine)
+        backup_transport = transport
+        if self._cert_coalescer is not None:
+            backup_transport = BatchingInstanceTransport(machine, self._cert_coalescer)
+        guard = self._propagation_guard
+        on_ordered = (
+            self._on_instance_ordered_batched if self._batching else self._on_instance_ordered
+        )
         for k in range(config.instances):
             core = machine.cores.allocate("replica-%d" % k)
-            if self._cert_coalescer is not None and k != config.master:
-                transport = BatchingInstanceTransport(
-                    machine, self._cert_coalescer
-                )
-            else:
-                transport = InstanceTransport(machine)
+            master = k == config.master
             engine = OrderingInstance(
                 sim,
                 core,
-                transport=transport,
-                config=instance_config if k == config.master else backup_config,
+                transport=transport if master else backup_transport,
+                config=instance_config if master else backup_config,
                 costs=self.costs,
                 replica=self.name,
                 instance=k,
-                on_ordered=self._make_ordered_callback(k),
-                guard=self._propagation_guard,
+                on_ordered=partial(on_ordered, k),
+                guard=guard,
                 primary_offset=k,
                 senders=senders,
                 pool=pool,
@@ -243,20 +250,7 @@ class RBFTNode(ClientReplies):
         machine.handler = self.on_network_message
         sim.call_after(config.monitoring_period, self._monitor_tick)
 
-    # ----------------------------------------------------------------- wiring
-    def _make_ordered_callback(self, instance: int):
-        if self._batching:
-
-            def callback(seq: int, items: Tuple) -> None:
-                self._on_instance_ordered_batched(instance, seq, items)
-
-        else:
-
-            def callback(seq: int, items: Tuple) -> None:
-                self._on_instance_ordered(instance, seq, items)
-
-        return callback
-
+    # -------------------------------------------------------------- instances
     @property
     def master_engine(self) -> OrderingInstance:
         return self.engines[self.master_instance]

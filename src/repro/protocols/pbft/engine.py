@@ -19,6 +19,7 @@ instance queues exactly like the paper's per-replica processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.batching import Batcher
@@ -41,6 +42,11 @@ from .messages import (
 
 __all__ = ["InstanceConfig", "OrderingInstance", "RequestPool"]
 
+#: what an engine's fault-path containers hold until their first write:
+#: shared and read-only, so a write site that forgot to allocate raises.
+_NO_ENTRIES = MappingProxyType({})
+_NO_ITEMS = ()
+
 
 @dataclass(frozen=True)
 class InstanceConfig:
@@ -62,6 +68,13 @@ class InstanceConfig:
     def __post_init__(self) -> None:
         if self.f < 1:
             raise ValueError("an ordering instance needs f >= 1 (got f=%d)" % self.f)
+        # Values that break a run rather than slow it: an empty batch, a
+        # negative delay, no checkpoint, no admissible sequence number.
+        for knob, floor in (("batch_size", 1), ("batch_delay", 0),
+                            ("checkpoint_interval", 1), ("watermark_window", 1)):
+            value = getattr(self, knob)
+            if value < floor:
+                raise ValueError("%s must be at least %s, got %r" % (knob, floor, value))
 
     @property
     def n(self) -> int:
@@ -145,6 +158,15 @@ class OrderingInstance:
 
     Slotted: a deployment holds n·(f + 1) of these, and behaviour is
     customised through the declared hooks only.
+
+    Fault-path state is built on first write.  ``_stray``,
+    ``_stray_owners``, ``_vc_votes`` and ``_future_held`` start as one
+    shared read-only empty mapping, ``_waiting_guard`` and ``_future`` as
+    ``()``: a fault-free run never writes them, and at n = 100 the 3 400
+    engines would otherwise hold six empty containers each.  Every read
+    path reads the empty as it is; a write site that forgot to allocate
+    raises instead of polluting the shared object.  ``batcher`` is built
+    on first need, since only a primary fills one.
     """
 
     __slots__ = (
@@ -154,10 +176,10 @@ class OrderingInstance:
         "_pending", "_ordered", "_pool_bit", "_pending_count", "_ordered_count",
         "_stray", "_stray_owners", "_prepare_quorum", "_commit_quorum", "_senders",
         "_own_bit", "_checkpoint_votes", "_vc_votes", "_vc_voted_for", "pending_view",
-        "_waiting_guard", "_future", "_future_held", "batcher",
+        "_waiting_guard", "_future", "_future_held", "_batcher",
         "primary_selector", "preprepare_delay_fn", "submit_delay_fn", "silent",
         "on_invalid", "ordered_batches", "ordered_items", "view_changes",
-        "_trace_name", "_auth", "_cert_send_cost", "_small_rx_cost",
+        "_auth", "_cert_send_cost", "_small_rx_cost",
         "_preprepare_rx_costs", "_batch_send_costs", "_primary_name_view",
         "_primary_name",
     )
@@ -216,23 +238,22 @@ class OrderingInstance:
         # digest), and ``_stray_owners`` the mask of senders that
         # allocated one at each (view, seq).  Sender bits come from the
         # cluster-wide universe when there is one: interned once per
-        # deployment, not per engine.
-        self._stray: Dict[Tuple[int, int, Digest], _Slot] = {}
-        self._stray_owners: Dict[Tuple[int, int], int] = {}
+        # deployment, not per engine.  Fault-path state: see the class
+        # docstring.
+        self._stray: Dict[Tuple[int, int, Digest], _Slot] = _NO_ENTRIES
+        self._stray_owners: Dict[Tuple[int, int], int] = _NO_ENTRIES
         self._prepare_quorum = config.prepare_quorum
         self._commit_quorum = config.commit_quorum
         self._senders = SenderUniverse() if senders is None else senders
         self._own_bit = self._senders.bit(replica)
         self._checkpoint_votes = VectorQuorumTracker(config.commit_quorum, self._senders)
-        self._vc_votes: Dict[int, Dict[str, ViewChange]] = {}
+        self._vc_votes: Dict[int, Dict[str, ViewChange]] = _NO_ENTRIES
         self._vc_voted_for = 0
         self.pending_view: Optional[int] = None
-        self._waiting_guard: List[PrePrepare] = []
-        self._future: List[OrderingMessage] = []  # messages from views ahead
-        self._future_held: Dict[str, int] = {}  # sender -> how many of them
-        self.batcher: Batcher = Batcher(
-            sim, config.batch_size, config.batch_delay, self._flush_batch
-        )
+        self._waiting_guard: List[PrePrepare] = _NO_ITEMS
+        self._future: List[OrderingMessage] = _NO_ITEMS  # messages from views ahead
+        self._future_held: Dict[str, int] = _NO_ENTRIES  # sender -> how many of them
+        self._batcher: Optional[Batcher] = None  # see ``batcher``
 
         #: optional override of the view→primary mapping (Spinning skips
         #: blacklisted replicas in its rotation).
@@ -256,9 +277,6 @@ class OrderingInstance:
         self.ordered_items = 0
         self.view_changes = 0
 
-        #: trace identity, e.g. "node2/i1" — one per (replica, instance).
-        self._trace_name = "%s/i%d" % (replica, instance)
-
         # Hot-path constants (cf. RBFTNode._propagate_rx_cost): the cost
         # model is pure and the authenticator immutable, so everything
         # that does not depend on the message is computed once here and
@@ -275,6 +293,19 @@ class OrderingInstance:
         self._primary_name = ""
 
     # ------------------------------------------------------------ identity
+    @property
+    def trace_name(self) -> str:
+        """Trace identity, e.g. "node2/i1": built on read, as only tracing reads it."""
+        return "%s/i%d" % (self.replica, self.instance)
+
+    @property
+    def batcher(self) -> Batcher:
+        """The request batcher, built on first need: only a primary fills one."""
+        if self._batcher is None:
+            self._batcher = Batcher(self.sim, self.config.batch_size,
+                                    self.config.batch_delay, self._flush_batch)
+        return self._batcher
+
     def primary_index(self, view: Optional[int] = None) -> int:
         view = self.view if view is None else view
         if self.primary_selector is not None:
@@ -324,7 +355,7 @@ class OrderingInstance:
             entry[1] |= bit
         self._pending_count += 1
         if self.is_primary and self.active and not self.silent:
-            self.batcher.add(item)
+            (self._batcher or self.batcher).add(item)
 
     def recheck_guards(self) -> None:
         """Re-test buffered pre-prepares whose guard previously failed."""
@@ -402,7 +433,7 @@ class OrderingInstance:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
-                self.sim.now, "pbft.phase", self._trace_name,
+                self.sim.now, "pbft.phase", self.trace_name,
                 phase="pre-prepare", seq=msg.seq, view=msg.view,
                 items=len(msg.items),
             )
@@ -504,6 +535,8 @@ class OrderingInstance:
             held < self.FUTURE_CAPACITY // self.config.n
             and len(self._future) < self.FUTURE_CAPACITY
         ):
+            if self._future is _NO_ITEMS:
+                self._future, self._future_held = [], {}
             self._future_held[msg.sender] = held + 1
             self._future.append(msg)
 
@@ -545,6 +578,8 @@ class OrderingInstance:
         if existing is not None and (existing.committed or existing.view >= msg.view):
             return
         if self.guard is not None and not self.guard(msg.items):
+            if self._waiting_guard is _NO_ITEMS:
+                self._waiting_guard = []
             self._waiting_guard.append(msg)
             return
         self._accept_preprepare(msg)
@@ -578,8 +613,10 @@ class OrderingInstance:
         seq = msg.seq
         old = self.log.get(seq)
         if old is not None and (old.prepares or old.commits):
+            if self._stray is _NO_ENTRIES:
+                self._stray = {}
             self._stray[(old.view, seq, old.digest)] = old
-        slot = self._stray.pop((msg.view, seq, msg.digest), None)
+        slot = self._stray.pop((msg.view, seq, msg.digest), None) if self._stray else None
         if slot is None:
             slot = _Slot(msg.view, msg.digest)
         slot.items = msg.items
@@ -609,6 +646,10 @@ class OrderingInstance:
             owners = self._stray_owners.get((view, seq), 0)
             if owners & bit:
                 return None
+            if self._stray_owners is _NO_ENTRIES:
+                self._stray_owners = {}
+            if self._stray is _NO_ENTRIES:
+                self._stray = {}
             self._stray_owners[(view, seq)] = owners | bit
             votes = self._stray[key] = _Slot(view, digest)
         return votes
@@ -660,7 +701,7 @@ class OrderingInstance:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
-                self.sim.now, "pbft.phase", self._trace_name,
+                self.sim.now, "pbft.phase", self.trace_name,
                 phase="prepared", seq=seq, view=view,
             )
         if not self.silent:
@@ -716,7 +757,7 @@ class OrderingInstance:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
-                self.sim.now, "pbft.phase", self._trace_name,
+                self.sim.now, "pbft.phase", self.trace_name,
                 phase="committed", seq=seq, view=view,
                 digest=repr(votes.digest.token),
             )
@@ -735,7 +776,7 @@ class OrderingInstance:
             tracer = self.sim.tracer
             if tracer is not None and tracer.enabled:
                 tracer.emit(
-                    self.sim.now, "pbft.phase", self._trace_name,
+                    self.sim.now, "pbft.phase", self.trace_name,
                     phase="ordered", seq=seq, items=len(entry.items),
                     rids=tuple(item.request_id for item in entry.items),
                 )
@@ -801,7 +842,7 @@ class OrderingInstance:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
-                self.sim.now, "pbft.state-transfer", self._trace_name,
+                self.sim.now, "pbft.state-transfer", self.trace_name,
                 src=self.next_exec, dst=seq + 1, via="weak-checkpoint",
             )
         self.next_exec = seq + 1
@@ -819,7 +860,7 @@ class OrderingInstance:
             tracer = self.sim.tracer
             if tracer is not None and tracer.enabled:
                 tracer.emit(
-                    self.sim.now, "pbft.state-transfer", self._trace_name,
+                    self.sim.now, "pbft.state-transfer", self.trace_name,
                     src=self.next_exec, dst=seq + 1, via="stable-checkpoint",
                 )
             self.next_exec = seq + 1
@@ -864,7 +905,7 @@ class OrderingInstance:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
-                self.sim.now, "pbft.log-size", self._trace_name,
+                self.sim.now, "pbft.log-size", self.trace_name,
                 **self.log_sizes(),
             )
 
@@ -910,6 +951,8 @@ class OrderingInstance:
         self._register_vc(msg)
 
     def _register_vc(self, msg: ViewChange) -> None:
+        if self._vc_votes is _NO_ENTRIES:
+            self._vc_votes = {}
         votes = self._vc_votes.setdefault(msg.new_view, {})
         votes[msg.sender] = msg
         # Join a view change once f+1 others demand it (PBFT liveness rule).
@@ -960,7 +1003,7 @@ class OrderingInstance:
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
-                self.sim.now, "pbft.view-change", self._trace_name,
+                self.sim.now, "pbft.view-change", self.trace_name,
                 view=new_view,
             )
         self.pending_view = None
@@ -968,7 +1011,7 @@ class OrderingInstance:
         self._vc_voted_for = max(self._vc_voted_for, new_view)
         for stale in [v for v in self._vc_votes if v <= new_view]:
             del self._vc_votes[stale]
-        self._waiting_guard = []
+        self._waiting_guard = _NO_ITEMS
         # Drop uncommitted batches from superseded views: anything without
         # a prepared certificate in the new-view proof is dead, and its
         # requests are still pooled for re-proposal.  The new primary then

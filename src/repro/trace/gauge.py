@@ -78,4 +78,4 @@ def collect_final(watch: LogSizeWatch, nodes: Iterable) -> None:
         engines = getattr(node, "engines", None)
         if engines:
             for engine in engines:
-                watch.observe(engine._trace_name, engine.log_sizes())
+                watch.observe(engine.trace_name, engine.log_sizes())

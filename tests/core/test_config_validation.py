@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import RBFTConfig
+from repro.experiments import build_rbft
+from repro.protocols.pbft.engine import InstanceConfig
 
 
 def test_defaults_are_valid():
@@ -40,6 +42,43 @@ def test_monitoring_period_positive():
 def test_batch_size_positive():
     with pytest.raises(ValueError):
         RBFTConfig(batch_size=0)
+
+
+#: knobs whose bad values used to surface mid-run, if at all: a zero
+#: checkpoint interval divided by zero at the first executed batch, a
+#: zero watermark window completed nothing without an error, and a
+#: negative batch delay was caught only by the batcher at build time.
+BROKEN_KNOBS = [
+    ("batch_size", 0),
+    ("batch_delay", -1.0),
+    ("checkpoint_interval", 0),
+    ("watermark_window", 0),
+]
+
+
+@pytest.mark.parametrize("config", [RBFTConfig, InstanceConfig])
+@pytest.mark.parametrize("knob, value", BROKEN_KNOBS)
+def test_knobs_that_break_a_run_are_rejected_at_construction(config, knob, value):
+    with pytest.raises(ValueError, match=knob):
+        config(**{knob: value})
+
+
+SMALLEST_ACCEPTED = [
+    ("batch_size", 1),
+    ("batch_delay", 0.0),
+    ("checkpoint_interval", 1),
+    ("watermark_window", 1),
+]
+
+
+@pytest.mark.parametrize("knob, value", SMALLEST_ACCEPTED)
+def test_smallest_accepted_knob_completes_requests(knob, value):
+    InstanceConfig(**{knob: value})  # accepted by both configs
+    dep = build_rbft(RBFTConfig(**{knob: value}), n_clients=2)
+    for client in dep.clients:
+        client.send_request()
+    dep.sim.run(until=0.05)
+    assert sum(client.completed for client in dep.clients) == 2
 
 
 def test_core_budget_enforced():

@@ -26,11 +26,13 @@ from repro.experiments import (
 )
 from repro.protocols.aardvark import AardvarkConfig
 from repro.protocols.base import NodeConfig
+from repro.protocols.pbft import engine as engine_module
 from repro.protocols.pbft.engine import InstanceConfig
 from repro.protocols.pbft.messages import Commit, PrePrepare, Prepare
 from repro.protocols.spinning import SpinningConfig
 from repro.trace import K_LOG_SIZE, LogSizeWatch, Tracer, collect_final
 from tests.protocols.test_engine_unit import make_group, request, submit_all
+from tests.protocols import test_slot_certificates as slot_certificates
 
 #: tiny windows so ~250 ordered sequences dwarf the bound.
 INTERVAL = 8
@@ -402,3 +404,37 @@ def test_admission_floor_follows_weak_checkpoint_fast_forward():
     assert 9 in backup.log
     assert 16 in backup.log
     assert 17 not in backup.log
+
+
+def test_hostile_schedules_leave_the_shared_empties_empty():
+    # An engine's fault-path containers start as one shared read-only
+    # empty and are allocated at their first write.  After the stray-vote
+    # and future-view floods above, a guard that holds pre-prepares back,
+    # a view change and a displaced log binding, every write went to the
+    # engines' own containers.
+    test_fresh_digest_flood_inside_the_window_allocates_one_stray_per_seq()
+    test_future_view_flood_from_one_sender_leaves_room_for_honest_traffic()
+    sim, fabric, engines, _ = make_group(checkpoint_interval=4)
+    ready = set()
+    engines[1].guard = lambda items: all(x.request_id in ready for x in items)
+    submit_all(engines, [request(i) for i in range(8)])
+    sim.run(until=0.05)
+    assert engines[1].log_sizes()["waiting_guard"] == 2
+    for engine in engines:
+        engine.start_view_change()
+    ready.update(request(i).request_id for i in range(16))
+    submit_all(engines, [request(i) for i in range(8, 16)])
+    engines[1].recheck_guards()
+    sim.run(until=0.5)
+    assert [engine.view for engine in engines] == [1, 1, 1, 1]
+    assert {engine.next_exec for engine in engines} == {7}  # node1 caught up
+    assert all(e._vc_votes is not engine_module._NO_ENTRIES for e in engines)
+    _, displaced, _, _ = slot_certificates.make_engine(1, False)
+    for which in (0, 1):  # a second binding at seq 1 displaces the first
+        displaced._accept_preprepare(PrePrepare(
+            "node0", 0, 0, 1, slot_certificates.items_for(1, which),
+            slot_certificates.digest_for(1, which), 100, MacAuthenticator("node0"),
+        ))
+    assert displaced.log_sizes()["prepare_votes"] == 2
+    assert len(engine_module._NO_ENTRIES) == 0
+    assert engine_module._NO_ITEMS == ()
