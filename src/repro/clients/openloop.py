@@ -8,17 +8,80 @@ when f+1 valid matching REPLY messages from distinct nodes arrive
 
 from __future__ import annotations
 
+import math
+from array import array
 from typing import Dict, FrozenSet, Iterable, Optional
 
 from repro.common.cluster import Cluster
 from repro.common.quorum import VectorQuorumTracker, weak_quorum_size
 from repro.common.types import Request
 from repro.crypto.primitives import MacAuthenticator, Signature
-from repro.metrics.recorder import LatencyRecorder
+from repro.metrics.recorder import BLOCK, LatencyRecorder, new_block
 from repro.net.message import Message
 from repro.protocols.base import ClientRequestMsg, ReplyMsg
 
-__all__ = ["OpenLoopClient"]
+__all__ = ["OpenLoopClient", "SendTimes"]
+
+
+class SendTimes:
+    """Rids 1, 2, … and the send time of each one not yet answered.
+
+    Times sit in float blocks keyed ``(rid - 1) // BLOCK``, NaN once
+    answered.  A fully issued block with at most 1/8 of its rids open
+    moves those to a straggler dict and is released, so memory stays
+    O(outstanding) whatever the completion order.
+    """
+
+    __slots__ = ("_blocks", "_open", "_stragglers", "_next", "outstanding")
+
+    def __init__(self) -> None:
+        self._blocks: Dict[int, array] = {}
+        self._open: Dict[int, int] = {}  # unanswered rids per block
+        self._stragglers: Dict[int, float] = {}
+        self._next = 1
+        self.outstanding = 0
+
+    def issue(self, now: float) -> int:
+        """Allocate the next rid, sent at ``now``."""
+        rid, self._next = self._next, self._next + 1
+        key, offset = divmod(rid - 1, BLOCK)
+        if not offset:
+            self._blocks[key], self._open[key] = new_block(), 0
+            self._release(key - 1)
+        self._blocks[key][offset] = now
+        self._open[key] += 1
+        self.outstanding += 1
+        return rid
+
+    def get(self, rid: int) -> Optional[float]:
+        """``rid``'s send time, or None unless issued and unanswered."""
+        key, offset = divmod(rid - 1, BLOCK)
+        block = self._blocks.get(key)
+        if block is None or rid >= self._next:
+            return self._stragglers.get(rid)
+        return None if math.isnan(block[offset]) else block[offset]
+
+    def answer(self, rid: int) -> None:
+        """Forget ``rid``, for which :meth:`get` returned a time."""
+        self.outstanding -= 1
+        key, offset = divmod(rid - 1, BLOCK)
+        block = self._blocks.get(key)
+        if block is None:
+            del self._stragglers[rid]
+            return
+        block[offset] = math.nan
+        self._open[key] -= 1
+        self._release(key)
+
+    def _release(self, key: int) -> None:
+        """Release block ``key`` if fully issued and at most 1/8 open."""
+        if 8 * self._open.get(key, BLOCK) > BLOCK or (key + 1) * BLOCK >= self._next:
+            return
+        del self._open[key]
+        first = key * BLOCK + 1
+        for offset, sent in enumerate(self._blocks.pop(key)):
+            if not math.isnan(sent):
+                self._stragglers[first + offset] = sent
 
 
 class OpenLoopClient:
@@ -39,8 +102,7 @@ class OpenLoopClient:
         self.port = cluster.add_client(name)
         self.port.handler = self._on_message
 
-        self._next_rid = 0
-        self._sent_at: Dict[int, float] = {}
+        self._sent = SendTimes()
         self._reply_votes = VectorQuorumTracker(
             weak_quorum_size(cluster.f), cluster.senders
         )
@@ -69,8 +131,7 @@ class OpenLoopClient:
         nodes; ``targets`` restricts which nodes receive the request at
         all; ``exec_cost`` issues the heavy requests of the Prime attack.
         """
-        self._next_rid += 1
-        rid = self._next_rid
+        rid = self._sent.issue(self.sim.now)
         request = Request(
             client=self.name,
             rid=rid,
@@ -88,7 +149,6 @@ class OpenLoopClient:
             exec_cost=exec_cost,
             sent_at=self.sim.now,
         )
-        self._sent_at[rid] = self.sim.now
         self.sent += 1
         msg = ClientRequestMsg(request)
         if targets is None and self.broadcast:
@@ -113,14 +173,14 @@ class OpenLoopClient:
         reply = msg.reply
         if reply.client != self.name or not msg.mac.valid:
             return
-        sent = self._sent_at.get(reply.rid)
+        sent = self._sent.get(reply.rid)
         if sent is None:
             return
         if self._reply_votes.add((reply.rid, reply.result), msg.sender):
             self.completed += 1
             self.latencies.record(self.sim.now - sent)
-            del self._sent_at[reply.rid]
-            # Late replies for this rid short-circuit on ``_sent_at``
+            self._sent.answer(reply.rid)
+            # Late replies for this rid short-circuit on ``_sent``
             # above, so the vote state is unreachable — drop it rather
             # than let it grow with every request ever completed.
             self._reply_votes.discard((reply.rid, reply.result))
@@ -128,7 +188,7 @@ class OpenLoopClient:
     # ----------------------------------------------------------- inspection
     @property
     def outstanding(self) -> int:
-        return len(self._sent_at)
+        return self._sent.outstanding
 
     def __repr__(self) -> str:
         return "OpenLoopClient(%s, sent=%d, completed=%d)" % (

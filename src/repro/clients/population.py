@@ -33,7 +33,7 @@ Determinism contract:
 from __future__ import annotations
 
 from collections.abc import Set
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.common.cluster import Cluster
 from repro.common.quorum import VectorQuorumTracker, weak_quorum_size
@@ -42,6 +42,8 @@ from repro.crypto.primitives import MacAuthenticator, Signature
 from repro.metrics.recorder import LatencyRecorder
 from repro.net.message import Message
 from repro.protocols.base import ClientRequestMsg, ReplyMsg
+
+from .openloop import SendTimes
 
 __all__ = ["ClientPopulation"]
 
@@ -126,8 +128,7 @@ class ClientPopulation:
         #: advances the "load"/"network" streams of existing runs.
         self._rng = cluster.rng.stream("population")
 
-        self._next_rid = 0
-        self._sent_at: Dict[int, float] = {}
+        self._sent = SendTimes()
         self._reply_votes = VectorQuorumTracker(
             weak_quorum_size(cluster.f), cluster.senders
         )
@@ -161,8 +162,7 @@ class ClientPopulation:
                 "identity index %d outside population of %d" % (index, self.size)
             )
         identity = "%s#%d" % (self.name, index)
-        self._next_rid += 1
-        rid = self._next_rid
+        rid = self._sent.issue(self.sim.now)
         request = Request(
             client=identity,
             rid=rid,
@@ -176,7 +176,6 @@ class ClientPopulation:
             exec_cost=exec_cost,
             sent_at=self.sim.now,
         )
-        self._sent_at[rid] = self.sim.now
         self.sent += 1
         self.identities_seen.add(index)
         msg = ClientRequestMsg(request)
@@ -194,21 +193,21 @@ class ClientPopulation:
         reply = msg.reply
         if not msg.mac.valid or reply.client.partition("#")[0] != self.name:
             return
-        sent = self._sent_at.get(reply.rid)
+        sent = self._sent.get(reply.rid)
         if sent is None:
             return
         if self._reply_votes.add((reply.rid, reply.result), msg.sender):
             self.completed += 1
             self.latencies.record(self.sim.now - sent)
-            del self._sent_at[reply.rid]
-            # Late replies short-circuit on ``_sent_at`` above; drop the
+            self._sent.answer(reply.rid)
+            # Late replies short-circuit on ``_sent`` above; drop the
             # vote state so it stays bounded over long runs.
             self._reply_votes.discard((reply.rid, reply.result))
 
     # ----------------------------------------------------------- inspection
     @property
     def outstanding(self) -> int:
-        return len(self._sent_at)
+        return self._sent.outstanding
 
     def __repr__(self) -> str:
         return "ClientPopulation(%s, size=%d, sent=%d, completed=%d)" % (

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
+from repro.metrics.recorder import window_percentile
 from repro.sim.engine import Simulator
 
 from .openloop import OpenLoopClient
@@ -342,16 +343,4 @@ class LoadGenerator:
 
     def latency_percentile(self, p: float) -> float:
         """Percentile over each client's retained sample window."""
-        samples: List[float] = []
-        for client in self.clients:
-            samples.extend(client.latencies.samples)
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        rank = (len(ordered) - 1) * p
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return window_percentile([client.latencies for client in self.clients], p)

@@ -189,8 +189,8 @@ class RBFTNode(ClientReplies):
         )
         self._vote_keys = self._propagate_votes.keys()
         self.request_store: Dict[Tuple[str, int], Request] = {}
-        self.ready_ids: set = set()
         self._given_at: Dict[Tuple[str, int], float] = {}
+        self.ready_ids = self._given_at.keys()
         self._ordered_by: Dict[Tuple[str, int], int] = {}
 
         # Execution state ----------------------------------------------------
@@ -512,7 +512,6 @@ class RBFTNode(ClientReplies):
         request = self.request_store.get(request_id)
         if request is None:
             return
-        self.ready_ids.add(request_id)
         self._given_at[request_id] = self.sim.now
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
@@ -565,7 +564,6 @@ class RBFTNode(ClientReplies):
                 self._ordered_by.pop(request_id, None)
                 self._given_at.pop(request_id, None)
                 self._propagated.discard(request_id)
-                self.ready_ids.discard(request_id)
                 self._propagate_votes.discard(request_id)
             else:
                 self._ordered_by[request_id] = seen
@@ -602,7 +600,6 @@ class RBFTNode(ClientReplies):
                 monitor.record_latency(instance, item.client, latency)
                 monitor.check_request_latency(item.client, latency)
             self._propagated.discard(request_id)
-            self.ready_ids.discard(request_id)
             self._propagate_votes.discard(request_id)
         self._execute_items(items)
 

@@ -8,9 +8,12 @@ instance — the ``nbreqs_i`` of §IV-C — and per-client latency averages).
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import chain, islice
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.engine import Simulator
 
@@ -20,7 +23,13 @@ __all__ = [
     "LatencyRecorder",
     "TimeSeries",
     "summarize",
+    "window_percentile",
 ]
+
+#: Doubles per float block (4 KiB).  ``new_block()`` copies one zeroed
+#: template; blocks are never resized (docs/simulator.md, "Performance").
+BLOCK = 512
+new_block = array("d", bytes(8 * BLOCK)).__copy__
 
 
 class WindowedCounter:
@@ -84,6 +93,11 @@ class LatencyRecorder:
     ``window`` samples, so memory stays constant however long the run.
     Any run that completes fewer than ``window`` requests per client —
     all the short-horizon seeds — sees byte-identical percentiles too.
+
+    The window is a ring of doubles in float blocks (slot ``count %
+    window``): 8 bytes a sample, not a boxed float plus a deque slot.
+    :attr:`samples` iterates it oldest first, and a percentile selects
+    only the order statistics it interpolates (:func:`window_percentile`).
     """
 
     DEFAULT_WINDOW = 65536
@@ -92,31 +106,32 @@ class LatencyRecorder:
         if window < 1:
             raise ValueError("window must be positive")
         self.window = window
-        self.samples: Deque[float] = deque(maxlen=window)
+        self._blocks: List[array] = []
         self.count = 0
         self.total = 0.0
 
     def record(self, latency: float) -> None:
-        self.samples.append(latency)
+        block, offset = divmod(self.count % self.window, BLOCK)
+        if block == len(self._blocks):
+            self._blocks.append(new_block())
+        self._blocks[block][offset] = latency
         self.count += 1
         self.total += latency
+
+    @property
+    def samples(self) -> Iterator[float]:
+        """A one-pass iterator over the window, oldest first."""
+        start = self.count % self.window if self.count > self.window else 0
+        return chain(
+            islice(chain.from_iterable(self._blocks), start, min(self.count, self.window)),
+            islice(chain.from_iterable(self._blocks), start),
+        )
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (len(ordered) - 1) * p
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return ordered[low]
-        frac = rank - low
-        return ordered[low] * (1 - frac) + ordered[high] * frac
+        return window_percentile((self,), p)
 
     def median(self) -> float:
         return self.percentile(0.5)
@@ -124,6 +139,33 @@ class LatencyRecorder:
     def __len__(self) -> int:
         """Samples ever recorded (not just the retained window)."""
         return self.count
+
+
+def window_percentile(recorders: Sequence[LatencyRecorder], p: float) -> float:
+    """The ``p``-quantile of the recorders' merged windows (0.0 if empty).
+
+    Interpolates the order statistics around rank ``(n - 1) * p`` as
+    indexing ``sorted()`` would, but selects just those two with
+    ``heapq`` from the shorter side: no sorted copy of every sample.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("percentile %r outside [0, 1]" % (p,))
+    n = sum(min(recorder.count, recorder.window) for recorder in recorders)
+    if not n:
+        return 0.0
+    rank = (n - 1) * p
+    low, high = int(math.floor(rank)), int(math.ceil(rank))
+    samples = chain.from_iterable(recorder.samples for recorder in recorders)
+    if high < n - low:
+        smallest = heapq.nsmallest(high + 1, samples)
+        below, above = smallest[low], smallest[high]
+    else:
+        largest = heapq.nlargest(n - low, samples)
+        below, above = largest[-1], largest[n - 1 - high]
+    if low == high:
+        return below
+    frac = rank - low
+    return below * (1 - frac) + above * frac
 
 
 class TimeSeries:

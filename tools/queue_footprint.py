@@ -4,8 +4,9 @@
 A saturated core (worst-attack-1's Verification module, §VI-C) holds its
 backlog on the core, behind one heap entry, and every message on the
 wire is one more heap entry until it is delivered, so bytes per entry
-set the peak RSS of a run that builds a backlog.  Three shapes are
-measured with tracemalloc, each over ``JOBS`` entries left queued:
+set the peak RSS of a run that builds a backlog; so do the floats a
+client keeps per request.  Five shapes are measured with tracemalloc,
+each over ``JOBS`` entries left allocated:
 
 * ``core_job_prebound`` — ``Core.submit(cost, fn, arg)`` with ``fn``
   bound once, as ``RBFTNode`` binds its stage callbacks;
@@ -13,7 +14,12 @@ measured with tracemalloc, each over ``JOBS`` entries left queued:
   every submit (what a ``self._stage`` expression costs when the
   method is not pre-bound);
 * ``channel_delivery`` — ``Channel.send`` of a pre-built message,
-  delivery still pending.
+  delivery still pending;
+* ``latency_sample`` — one ``LatencyRecorder.record`` of a fresh float,
+  window not yet full (open-loop clients keep one sample per completed
+  request);
+* ``outstanding_send`` — one ``SendTimes.issue``, never answered (one
+  per request in flight, ≈ 9 250 at the end of worst-attack-1).
 
 ``core_backlog_heap_entries`` is the structural witness: the kernel
 heap's length once ``JOBS`` jobs wait on one busy core.
@@ -62,6 +68,8 @@ def _bytes_per_entry(jobs: int, queue) -> float:
 
 
 def measure(jobs: int) -> dict:
+    from repro.clients.openloop import SendTimes
+    from repro.metrics import LatencyRecorder
     from repro.net.network import Network
     from repro.net.nic import NIC
     from repro.sim import Core, Simulator
@@ -98,12 +106,26 @@ def measure(jobs: int) -> dict:
             channel.send(msg)
         return channel
 
+    def latency_samples():
+        recorder = LatencyRecorder(window=jobs)
+        for index in range(jobs):
+            recorder.record(index * 1e-6)
+        return recorder
+
+    def outstanding_sends():
+        sent = SendTimes()
+        for index in range(jobs):
+            sent.issue(index * 1e-6)
+        return sent
+
     return {
         "jobs": jobs,
         "core_job_prebound_b": _bytes_per_entry(jobs, prebound),
         "core_job_bound_per_call_b": _bytes_per_entry(jobs, bound_per_call),
         "channel_delivery_b": _bytes_per_entry(jobs, deliveries),
         "core_backlog_heap_entries": backlog_heap_entries(),
+        "latency_sample_b": _bytes_per_entry(jobs, latency_samples),
+        "outstanding_send_b": _bytes_per_entry(jobs, outstanding_sends),
     }
 
 
