@@ -97,14 +97,14 @@ def test_delta_sensitivity(benchmark, scale):
     threshold hands the malicious primary a bigger licence.
     """
     from repro.core import RBFTConfig
-    from repro.experiments.deployments import build_rbft
+    from repro.experiments import deploy
     from repro.faults import install_rbft_worst_attack_2
 
     def run(delta):
         config = RBFTConfig(
             f=1, monitoring_period=scale.monitoring_period, delta=delta
         )
-        deployment = build_rbft(config, n_clients=12, payload=8)
+        deployment = deploy("rbft", config, n_clients=12, payload=8)
         install_rbft_worst_attack_2(deployment)
         rate = 1.25 * probe_capacity("rbft", 8, scale)
         generator = LoadGenerator(

@@ -16,7 +16,7 @@ Run with:  python examples/attack_demo.py
 
 from repro.clients import LoadGenerator, static_profile
 from repro.core import RBFTConfig
-from repro.experiments import build_rbft
+from repro.experiments import deploy
 from repro.faults import install_rbft_worst_attack_2
 
 RATE = 20_000.0
@@ -25,7 +25,7 @@ DURATION = 1.0
 
 def run(attacked: bool) -> dict:
     config = RBFTConfig(f=1, monitoring_period=0.2)
-    deployment = build_rbft(config, n_clients=10, payload=8)
+    deployment = deploy("rbft", config, n_clients=10, payload=8)
     if attacked:
         install_rbft_worst_attack_2(deployment)
     generator = LoadGenerator(

@@ -12,13 +12,13 @@ Run with:  python examples/kv_store.py
 
 from repro.common import KeyValueService
 from repro.core import RBFTConfig
-from repro.experiments import build_rbft
+from repro.experiments import deploy
 
 
 def main() -> None:
     config = RBFTConfig(f=1, batch_size=4, batch_delay=5e-4)
-    deployment = build_rbft(
-        config, n_clients=2, payload=128, service_factory=KeyValueService
+    deployment = deploy(
+        "rbft", config, n_clients=2, payload=128, service_factory=KeyValueService
     )
     sim = deployment.sim
     alice, bob = deployment.clients

@@ -18,7 +18,7 @@ Run with:  python examples/promotion_demo.py
 
 from repro.clients import LoadGenerator, static_profile
 from repro.core import RBFTConfig
-from repro.experiments import build_rbft
+from repro.experiments import deploy
 from repro.faults import BatchPacer
 
 RATE = 3000.0
@@ -34,7 +34,7 @@ def run(promote: bool) -> dict:
         min_monitor_requests=10,
         promote_best_backup=promote,
     )
-    deployment = build_rbft(config, n_clients=4)
+    deployment = deploy("rbft", config, n_clients=4)
     # The master primary (node0) paces itself to a crawl.
     pacer = BatchPacer(deployment.sim, lambda: 300.0)
     deployment.nodes[0].engines[0].preprepare_delay_fn = (

@@ -14,12 +14,12 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.core import RBFTConfig
-from repro.experiments import build_rbft
+from repro.experiments import deploy
 
 
 def main() -> None:
     config = RBFTConfig(f=1, batch_size=16, batch_delay=1e-3)
-    deployment = build_rbft(config, n_clients=3, payload=64)
+    deployment = deploy("rbft", config, n_clients=3, payload=64)
     sim = deployment.sim
 
     # Open-loop clients: send on a schedule, never wait for replies.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from repro.crypto.costmodel import CryptoCostModel
 from repro.protocols.pbft.engine import InstanceConfig
@@ -62,17 +61,12 @@ class RBFTConfig:
     nic_close_duration: float = 2.0  # "for a given time period"
 
     # Scale pacing and redundant-instance batching ---------------------------
-    #: above this f the deployment switches to the paced batch delay and
-    #: (unless overridden) coalesces backup-instance certificate traffic.
-    #: The default matches the historical hard-coded ``f <= 3`` rule, so
-    #: every pinned small-f run stays on the exact path.
+    #: above this f a deployment runs on the batched tier: backup-instance
+    #: certificate traffic is coalesced (``batching_active``) and the
+    #: registry paces the master's rounds at 10 ms.  The default matches
+    #: the historical hard-coded ``f <= 3`` rule, so every pinned small-f
+    #: run stays on the exact path; 0 puts an n = 4 run on the batched one.
     pacing_f_threshold: int = 3
-    #: batch delay used above the pacing threshold (was hard-coded 10 ms).
-    paced_batch_delay: float = 10e-3
-    #: tri-state override for certificate batching across the f+1
-    #: ordering instances: None = automatic (active iff
-    #: ``f > pacing_f_threshold``), True/False forces it for tests.
-    instance_batching: Optional[bool] = None
     #: how long a node may hold backup-instance certificate messages
     #: before flushing them as one envelope.
     instance_batch_window: float = 1e-3
@@ -95,10 +89,8 @@ class RBFTConfig:
         if self.monitoring_period <= 0:
             raise ValueError("monitoring_period must be positive")
         self.instance_config()  # validates the per-instance knobs
-        if self.pacing_f_threshold < 1:
-            raise ValueError("pacing_f_threshold must be at least 1")
-        if self.paced_batch_delay <= 0:
-            raise ValueError("paced_batch_delay must be positive")
+        if self.pacing_f_threshold < 0:
+            raise ValueError("pacing_f_threshold must be non-negative")
         if self.instance_batch_window <= 0:
             raise ValueError("instance_batch_window must be positive")
         if self.instance_batch_limit < 2:
@@ -138,23 +130,7 @@ class RBFTConfig:
     @property
     def batching_active(self) -> bool:
         """Whether backup-instance certificate traffic is coalesced."""
-        if self.instance_batching is not None:
-            return self.instance_batching
         return self.f > self.pacing_f_threshold
-
-    @property
-    def pacing_tier(self) -> str:
-        """Which pacing/batching regime this configuration runs under.
-
-        ``"exact"`` — small-f path, byte-identical to the historical
-        simulator; ``"paced"`` — the slower batch delay but per-instance
-        messages; ``"batched"`` — certificate envelopes across instances.
-        """
-        if self.batching_active:
-            return "batched"
-        if self.f > self.pacing_f_threshold:
-            return "paced"
-        return "exact"
 
     def instance_config(self) -> InstanceConfig:
         return InstanceConfig(

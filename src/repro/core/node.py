@@ -255,10 +255,6 @@ class RBFTNode(ClientReplies):
     def master_engine(self) -> OrderingInstance:
         return self.engines[self.master_instance]
 
-    @property
-    def is_master_primary(self) -> bool:
-        return self.master_engine.is_primary
-
     # ----------------------------------------------------------------- routing
     def on_network_message(self, msg: Message) -> None:
         routes = self._routes

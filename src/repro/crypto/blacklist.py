@@ -13,14 +13,13 @@ Two flavours appear in the papers reproduced here:
 Client ids may be **virtual population identities** of the form
 ``"<port>#<index>"`` (see :mod:`repro.clients.population`): a million
 declared users share one port, and each sampled identity is banned
-individually — exactly as if it were a real client.  The owner helpers
-below aggregate such bans per owning port for diagnostics.
+individually — exactly as if it were a real client.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional
 
 __all__ = ["principal_owner", "ClientBlacklist", "BoundedBlacklist"]
 
@@ -46,22 +45,6 @@ class ClientBlacklist:
 
     def banned(self, client_id: Hashable) -> bool:
         return client_id in self._banned
-
-    def banned_for_owner(self, owner: Hashable) -> int:
-        """Banned principals owned by ``owner`` (itself, or its virtual
-        identities): a population-level misbehaviour gauge."""
-        return sum(
-            1 for client_id in self._banned
-            if principal_owner(client_id) == owner
-        )
-
-    def by_owner(self) -> Dict[Hashable, int]:
-        """Banned-principal counts grouped by owning port."""
-        counts: Dict[Hashable, int] = {}
-        for client_id in self._banned:
-            owner = principal_owner(client_id)
-            counts[owner] = counts.get(owner, 0) + 1
-        return counts
 
     def __len__(self) -> int:
         return len(self._banned)

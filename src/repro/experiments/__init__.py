@@ -8,14 +8,7 @@ it.  What a change *costs* is measured by the perf ledger under
 
 from repro.clients import Workload
 
-from .deployments import (
-    Deployment,
-    build_aardvark,
-    build_pbft,
-    build_prime,
-    build_rbft,
-    build_spinning,
-)
+from .deployments import Deployment, deploy
 from .runner import (
     PROTOCOL_VARIANTS,
     RunResult,
@@ -28,7 +21,7 @@ from .runner import (
     table1,
     unfair_primary_run,
 )
-from .parallel import RunSpec, execute_specs, execute_tasks, resolve_jobs
+from .parallel import execute_specs, execute_tasks, resolve_jobs
 from .scale import FULL, QUICK, SMOKE, ScenarioScale, current_scale
 from .scenario import Scenario, run
 from .stats import SweepResult, seed_sweep
@@ -38,11 +31,7 @@ __all__ = [
     "Workload",
     "run",
     "Deployment",
-    "build_aardvark",
-    "build_pbft",
-    "build_prime",
-    "build_rbft",
-    "build_spinning",
+    "deploy",
     "PROTOCOL_VARIANTS",
     "RunResult",
     "attack_sweep",
@@ -60,7 +49,6 @@ __all__ = [
     "current_scale",
     "profile_report",
     "profile_run",
-    "RunSpec",
     "execute_specs",
     "execute_tasks",
     "resolve_jobs",

@@ -1,7 +1,9 @@
-"""Deployment builders: one call to stand up each protocol's cluster.
+"""Deployment assembly: one call stands up any registered protocol.
 
-These are the entry points both the test suite and the benchmark harness
-use, so every experiment runs against identically wired hardware.
+:func:`deploy` is the entry point both the test suite and the benchmark
+harness use, so every experiment runs against identically wired
+hardware: the protocol registry says which node class and cluster
+settings a variant needs, and nothing here branches on the protocol.
 
 Clients attach in one of two ways: ``n_clients`` explodes that many
 :class:`~repro.clients.openloop.OpenLoopClient` objects (the classic
@@ -17,23 +19,12 @@ from typing import Callable, List, Optional
 
 from repro.clients import ClientPopulation, OpenLoopClient
 from repro.common import Cluster, ClusterConfig, NullService, Service
-from repro.core import RBFTConfig, RBFTNode
 from repro.net.network import LinkProfile
 from repro.net.topology import Topology
-from repro.protocols.aardvark import AardvarkConfig, AardvarkNode
-from repro.protocols.base import BftNode, NodeConfig
-from repro.protocols.prime import PrimeConfig, PrimeNode
-from repro.protocols.spinning import SpinningConfig, SpinningNode
+from repro.protocols import registry as protocol_registry
 from repro.sim import RngTree, Simulator
 
-__all__ = [
-    "Deployment",
-    "build_rbft",
-    "build_aardvark",
-    "build_spinning",
-    "build_prime",
-    "build_pbft",
-]
+__all__ = ["Deployment", "deploy"]
 
 
 @dataclass
@@ -64,67 +55,10 @@ class Deployment:
         return sum(unit.completed for unit in self.client_units())
 
 
-def _make_clients(cluster, count, payload):
-    return [
-        OpenLoopClient(cluster, "client%d" % i, payload_size=payload)
-        for i in range(count)
-    ]
-
-
-def _attach_clients(cluster, count, payload, factory):
-    """Explode ``count`` clients, or delegate to a population factory."""
-    if factory is not None:
-        return [], factory(cluster, payload)
-    return _make_clients(cluster, count, payload), None
-
-
-def build_rbft(
-    config: Optional[RBFTConfig] = None,
-    n_clients: int = 10,
-    payload: int = 8,
-    service_factory: Callable[[], Service] = NullService,
-    tcp: bool = True,
-    seed: int = 0,
-    link: Optional[LinkProfile] = None,
-    topology: Optional[Topology] = None,
-    clients_factory: Optional[Callable[[Cluster, int], ClientPopulation]] = None,
-) -> Deployment:
-    """An RBFT deployment (§V): 3f+1 machines, f+1 instances each."""
-    config = config or RBFTConfig()
-    sim = Simulator()
-    cluster_config = ClusterConfig(
-        f=config.f, seed=seed, tcp=tcp, cores_per_node=config.cores_per_machine
-    )
-    if link is not None:
-        cluster_config = cluster_config.with_(link=link)
-    if topology is not None:
-        cluster_config = cluster_config.with_(topology=topology)
-    cluster = Cluster(sim, cluster_config)
-    nodes = [
-        RBFTNode(machine, config, service_factory()) for machine in cluster.machines
-    ]
-    clients, population = _attach_clients(cluster, n_clients, payload, clients_factory)
-    return Deployment(sim, cluster, nodes, clients, RngTree(seed), population)
-
-
-def _cluster_config(
-    f: int,
-    seed: int,
-    link: Optional[LinkProfile],
-    topology: Optional[Topology] = None,
-    **kwargs,
-):
-    config = ClusterConfig(f=f, seed=seed, **kwargs)
-    if link is not None:
-        config = config.with_(link=link)
-    if topology is not None:
-        config = config.with_(topology=topology)
-    return config
-
-
-def build_aardvark(
-    config: Optional[AardvarkConfig] = None,
-    f: int = 1,
+def deploy(
+    protocol: str,
+    config,
+    *,
     n_clients: int = 10,
     payload: int = 8,
     service_factory: Callable[[], Service] = NullService,
@@ -133,81 +67,29 @@ def build_aardvark(
     topology: Optional[Topology] = None,
     clients_factory: Optional[Callable[[Cluster, int], ClientPopulation]] = None,
 ) -> Deployment:
-    config = config or AardvarkConfig()
+    """Stand up ``config``'s cluster for the registered variant ``protocol``.
+
+    The registry entry supplies the node class and the cluster settings
+    (``f``, transport, NICs, cores); every variant is then wired the
+    same way, in one order: simulator, cluster, one node per machine,
+    clients, the seeded :class:`~repro.sim.RngTree`.
+    """
+    spec = protocol_registry.get(protocol)
     sim = Simulator()
-    cluster = Cluster(sim, _cluster_config(config.instance.f, seed, link, topology))
+    settings = dict(spec.cluster(config), seed=seed, topology=topology)
+    if link is not None:
+        settings["link"] = link
+    cluster = Cluster(sim, ClusterConfig(**settings))
     nodes = [
-        AardvarkNode(machine, config, service_factory())
+        spec.node_factory(machine, config, service_factory())
         for machine in cluster.machines
     ]
-    clients, population = _attach_clients(cluster, n_clients, payload, clients_factory)
-    return Deployment(sim, cluster, nodes, clients, RngTree(seed), population)
-
-
-def build_spinning(
-    config: Optional[SpinningConfig] = None,
-    n_clients: int = 10,
-    payload: int = 8,
-    service_factory: Callable[[], Service] = NullService,
-    seed: int = 0,
-    link: Optional[LinkProfile] = None,
-    topology: Optional[Topology] = None,
-    clients_factory: Optional[Callable[[Cluster, int], ClientPopulation]] = None,
-) -> Deployment:
-    """Spinning runs over UDP multicast on a shared NIC (§VI-B)."""
-    config = config or SpinningConfig()
-    sim = Simulator()
-    cluster = Cluster(
-        sim,
-        _cluster_config(
-            config.instance.f, seed, link, topology,
-            tcp=False, separate_nics=False,
-        ),
-    )
-    nodes = [
-        SpinningNode(machine, config, service_factory())
-        for machine in cluster.machines
-    ]
-    clients, population = _attach_clients(cluster, n_clients, payload, clients_factory)
-    return Deployment(sim, cluster, nodes, clients, RngTree(seed), population)
-
-
-def build_prime(
-    config: Optional[PrimeConfig] = None,
-    n_clients: int = 10,
-    payload: int = 8,
-    service_factory: Callable[[], Service] = NullService,
-    seed: int = 0,
-    link: Optional[LinkProfile] = None,
-    topology: Optional[Topology] = None,
-    clients_factory: Optional[Callable[[Cluster, int], ClientPopulation]] = None,
-) -> Deployment:
-    config = config or PrimeConfig()
-    sim = Simulator()
-    cluster = Cluster(sim, _cluster_config(config.f, seed, link, topology))
-    nodes = [
-        PrimeNode(machine, config, service_factory()) for machine in cluster.machines
-    ]
-    clients, population = _attach_clients(cluster, n_clients, payload, clients_factory)
-    return Deployment(sim, cluster, nodes, clients, RngTree(seed), population)
-
-
-def build_pbft(
-    config: Optional[NodeConfig] = None,
-    n_clients: int = 10,
-    payload: int = 8,
-    service_factory: Callable[[], Service] = NullService,
-    seed: int = 0,
-    link: Optional[LinkProfile] = None,
-    topology: Optional[Topology] = None,
-    clients_factory: Optional[Callable[[Cluster, int], ClientPopulation]] = None,
-) -> Deployment:
-    """Plain PBFT — used by ablations, not by the paper's figures."""
-    config = config or NodeConfig()
-    sim = Simulator()
-    cluster = Cluster(sim, _cluster_config(config.f, seed, link, topology))
-    nodes = [
-        BftNode(machine, config, service_factory()) for machine in cluster.machines
-    ]
-    clients, population = _attach_clients(cluster, n_clients, payload, clients_factory)
+    clients, population = [], None
+    if clients_factory is not None:
+        population = clients_factory(cluster, payload)
+    else:
+        clients = [
+            OpenLoopClient(cluster, "client%d" % i, payload_size=payload)
+            for i in range(n_clients)
+        ]
     return Deployment(sim, cluster, nodes, clients, RngTree(seed), population)

@@ -36,7 +36,7 @@ from repro.net.network import LinkProfile
 from repro.net.topology import Topology
 from repro.protocols import registry as protocol_registry
 
-from .deployments import Deployment
+from .deployments import Deployment, deploy
 from .scale import ScenarioScale, current_scale
 
 __all__ = [
@@ -333,27 +333,27 @@ def _relative_pct(attacked: RunResult, fault_free: RunResult) -> float:
     return 100.0 * attacked.executed_rate / fault_free.executed_rate
 
 
-def _sweep_specs(
+def _sweep_scenarios(
     protocol: str,
     scale: ScenarioScale,
     attack: str,
     f: int,
     exec_cost: float,
 ) -> List:
-    """Four runs per request size, in the serial execution order."""
-    from .parallel import RunSpec
+    """Four runs per request size, in the serial execution order: static
+    then spike load, each fault-free then attacked."""
+    from .scenario import Scenario
 
-    specs = []
-    for size in scale.sizes:
-        for kind in ("static", "dynamic"):
-            for att in (None, attack):
-                specs.append(
-                    RunSpec(
-                        kind=kind, protocol=protocol, payload=size,
-                        attack=att, f=f, exec_cost=exec_cost, scale=scale,
-                    )
-                )
-    return specs
+    return [
+        Scenario(
+            protocol=protocol, payload=size,
+            workload=Workload(shape, population=False),
+            attack=att, f=f, exec_cost=exec_cost, scale=scale,
+        )
+        for size in scale.sizes
+        for shape in ("static", "spike")
+        for att in (None, attack)
+    ]
 
 
 def _sweep_rows(scale: ScenarioScale, results: List[RunResult]) -> List[dict]:
@@ -385,15 +385,14 @@ def attack_sweep(
 
     The per-size runs are independent simulations; ``jobs`` (default:
     ``REPRO_JOBS`` or ``cpu_count() - 1``) fans them out across worker
-    processes.  Results are merged in spec order, so the rows are
+    processes.  Results are merged in order, so the rows are
     byte-identical to a serial sweep.
     """
     from .parallel import execute_specs
 
     scale = scale or current_scale()
-    specs = _sweep_specs(protocol, scale, attack, f, exec_cost)
-    results = execute_specs(specs, jobs=jobs)
-    return _sweep_rows(scale, results)
+    scenarios = _sweep_scenarios(protocol, scale, attack, f, exec_cost)
+    return _sweep_rows(scale, execute_specs(scenarios, jobs=jobs))
 
 
 def latency_throughput_curve(
@@ -409,29 +408,34 @@ def latency_throughput_curve(
     The capacity probe runs first (it anchors every point's rate); the
     points themselves fan out across ``jobs`` worker processes.
     """
-    from .parallel import RunSpec, execute_specs
+    from .parallel import execute_specs
+    from .scenario import Scenario
 
     scale = scale or current_scale()
     capacity = probe_capacity(protocol, payload, scale, f, exec_cost)
     duration = max(0.6, scale.duration / 2)
-    specs = []
-    for i in range(scale.rate_points):
-        fraction = 0.15 + (1.05 - 0.15) * i / max(1, scale.rate_points - 1)
-        specs.append(
-            RunSpec(
-                kind="curve-point", protocol=protocol, payload=payload,
-                rate=fraction * capacity, f=f, exec_cost=exec_cost,
-                scale=scale, duration=duration, warmup=duration * 0.25,
-            )
+    rates = [
+        (0.15 + (1.05 - 0.15) * i / max(1, scale.rate_points - 1)) * capacity
+        for i in range(scale.rate_points)
+    ]
+    # A curve point is a static run with a pinned rate and an explicit
+    # (shorter) measurement window.
+    scenarios = [
+        Scenario(
+            protocol=protocol, payload=payload,
+            workload=Workload("static", rate=rate, population=False),
+            f=f, exec_cost=exec_cost, scale=scale,
+            duration=duration, warmup=duration * 0.25,
         )
-    results = execute_specs(specs, jobs=jobs)
+        for rate in rates
+    ]
     return [
         {
-            "offered": spec.rate,
+            "offered": rate,
             "throughput": result.completed_rate,
             "latency_ms": result.mean_latency * 1e3,
         }
-        for spec, result in zip(specs, results)
+        for rate, result in zip(rates, execute_specs(scenarios, jobs=jobs))
     ]
 
 
@@ -501,9 +505,7 @@ def unfair_primary_run(
         monitoring_period=scale.monitoring_period,
         lambda_max=lambda_max,
     )
-    deployment = protocol_registry.get("rbft").builder(
-        config, n_clients=2, payload=payload
-    )
+    deployment = deploy("rbft", config, n_clients=2, payload=payload)
     victim, other = deployment.clients[0], deployment.clients[1]
 
     def schedule(i: int) -> float:
@@ -569,13 +571,13 @@ def table1(
 
     scale = scale or current_scale()
     protocols = ("prime", "aardvark", "spinning")
-    specs = []
+    scenarios = []
     for protocol in protocols:
         exec_cost = 1e-4 if protocol == "prime" else 20e-6
-        specs.extend(
-            _sweep_specs(protocol, scale, "default", 1, exec_cost)
+        scenarios.extend(
+            _sweep_scenarios(protocol, scale, "default", 1, exec_cost)
         )
-    results = execute_specs(specs, jobs=jobs)
+    results = execute_specs(scenarios, jobs=jobs)
     per_protocol = 4 * len(scale.sizes)
     degradations = {}
     for index, protocol in enumerate(protocols):

@@ -161,12 +161,13 @@ class OrderingInstance:
 
     Fault-path state is built on first write.  ``_stray``,
     ``_stray_owners``, ``_vc_votes`` and ``_future_held`` start as one
-    shared read-only empty mapping, ``_waiting_guard`` and ``_future`` as
-    ``()``: a fault-free run never writes them, and at n = 100 the 3 400
-    engines would otherwise hold six empty containers each.  Every read
-    path reads the empty as it is; a write site that forgot to allocate
-    raises instead of polluting the shared object.  ``batcher`` is built
-    on first need, since only a primary fills one.
+    shared read-only empty mapping, ``_waiting_guard``, ``_future`` and
+    ``_held`` as ``()``: a fault-free run never writes them, and at
+    n = 100 the 3 400 engines would otherwise hold seven empty
+    containers each.  Every read path reads the empty as it is; a write
+    site that forgot to allocate raises instead of polluting the shared
+    object.  ``batcher`` is built on first need, since only a primary
+    fills one.
     """
 
     __slots__ = (
@@ -176,7 +177,7 @@ class OrderingInstance:
         "_pending", "_ordered", "_pool_bit", "_pending_count", "_ordered_count",
         "_stray", "_stray_owners", "_prepare_quorum", "_commit_quorum", "_senders",
         "_own_bit", "_checkpoint_votes", "_vc_votes", "_vc_voted_for", "pending_view",
-        "_waiting_guard", "_future", "_future_held", "_batcher",
+        "_waiting_guard", "_future", "_future_held", "_held", "_batcher",
         "primary_selector", "preprepare_delay_fn", "submit_delay_fn", "silent",
         "on_invalid", "ordered_batches", "ordered_items", "view_changes",
         "_auth", "_cert_send_cost", "_small_rx_cost",
@@ -253,6 +254,7 @@ class OrderingInstance:
         self._waiting_guard: List[PrePrepare] = _NO_ITEMS
         self._future: List[OrderingMessage] = _NO_ITEMS  # messages from views ahead
         self._future_held: Dict[str, int] = _NO_ENTRIES  # sender -> how many of them
+        self._held: List[Tuple] = _NO_ITEMS  # own batches above the window
         self._batcher: Optional[Batcher] = None  # see ``batcher``
 
         #: optional override of the view→primary mapping (Spinning skips
@@ -393,8 +395,16 @@ class OrderingInstance:
         if self.config.auto_advance_view:
             # Spinning: one batch per leadership turn, then rotate.
             self.batcher.pause()
-        self.seq_assigned += 1
-        seq = self.seq_assigned
+        seq = self.seq_assigned + 1
+        if seq > self.low_watermark + self.config.watermark_window:
+            # Backups drop a pre-prepare above the high watermark and
+            # nothing re-sends it: hold the batch until a stable
+            # checkpoint moves the window (``_stabilize``).
+            if self._held is _NO_ITEMS:
+                self._held = []
+            self._held.append(items)
+            return
+        self.seq_assigned = seq
         digest = self._batch_digest(seq, items)
         payload = batch_payload_size(items, self.config.full_payload)
         msg = PrePrepare(
@@ -866,6 +876,10 @@ class OrderingInstance:
             self.next_exec = seq + 1
         self._forget_through(seq)
         self._collect_garbage(seq)
+        if self._held:
+            held, self._held = self._held, _NO_ITEMS
+            for items in held:
+                self._flush_batch(items)
 
     def _forget_through(self, seq: int) -> None:
         """Drop the log slots at or below ``seq`` and this instance's
@@ -1057,6 +1071,8 @@ class OrderingInstance:
     def _become_primary(self) -> None:
         # Continue after the last live sequence number; superseded batches
         # were dropped at view installation, so their numbers are reused.
+        # Held batches go too: their items are still pooled, re-fed below.
+        self._held = _NO_ITEMS
         self.seq_assigned = max(
             self.low_watermark, self.next_exec - 1, *(list(self.log) or [0])
         )

@@ -1,20 +1,21 @@
 """Protocol registry: resolve protocol variants by name.
 
 Every experiment entry point used to carry its own copy of the
-protocol dispatch — an if-chain over ``build_rbft`` / ``build_aardvark``
-/ ``build_spinning`` / ``build_prime`` / ``build_pbft`` plus the
+protocol dispatch — an if-chain over five deployment builders plus the
 per-variant config tweaks.  This module is the single source of truth
 instead: each :class:`ProtocolSpec` bundles the variant's
 
 * **config factory** — ``(f, scale) -> protocol config``, applying the
   variant-specific knobs (``rbft-full-order`` orders full requests,
   ``aardvark-no-vc`` disables the grace-period view change, ...);
-* **node factory** — the node class the builder instantiates on each
-  machine;
-* **builder** — the deployment builder in
-  :mod:`repro.experiments.deployments` that wires the cluster, resolved
-  lazily so this module never imports the experiment layer at import
-  time (the experiment layer imports *us*).
+* **node factory** — the node class instantiated on each machine;
+* **cluster settings** — ``config -> ClusterConfig`` keywords: where
+  the variant reads ``f`` from and the hardware/transport it runs on
+  (Spinning: UDP multicast on a shared NIC; RBFT: its core budget).
+
+:func:`repro.experiments.deployments.deploy` stands any entry up from
+those three fields; it is resolved lazily so this module never imports
+the experiment layer at import time (the experiment layer imports *us*).
 
 ``get(name)`` raises ``ValueError`` for unknown names; ``names()``
 returns the registered variants in registration order (the public
@@ -24,10 +25,14 @@ variant — the only supported way to extend the protocol dispatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Tuple
 
 __all__ = ["ProtocolSpec", "register", "get", "names"]
+
+#: the master instance's round pacing on RBFT's batched tier (above
+#: ``RBFTConfig.pacing_f_threshold``).
+PACED_BATCH_DELAY = 10e-3
 
 
 @dataclass(frozen=True)
@@ -37,47 +42,18 @@ class ProtocolSpec:
     name: str
     #: ``(f, scale) -> config`` — scale supplies monitoring/grace periods.
     config_factory: Callable
-    #: node class; the builder instantiates one per machine.
+    #: node class; one is instantiated per machine.
     node_factory: Callable
-    #: attribute name of the builder in ``repro.experiments.deployments``.
-    builder_name: str
-    #: static builder keyword overrides (e.g. ``{"tcp": False}``).
-    build_kwargs: Mapping = field(default_factory=dict)
+    #: ``config -> dict`` of :class:`~repro.common.ClusterConfig` fields
+    #: (``f`` plus any hardware/transport settings).
+    cluster: Callable
 
-    @property
-    def builder(self) -> Callable:
-        """The deployment builder (lazy: avoids a circular import)."""
-        from repro.experiments import deployments
+    def build(self, f: int, scale, **kwargs):
+        """Make the variant's config and stand up its deployment
+        (``kwargs`` as for :func:`~repro.experiments.deployments.deploy`)."""
+        from repro.experiments.deployments import deploy
 
-        return getattr(deployments, self.builder_name)
-
-    def build(
-        self,
-        f: int,
-        scale,
-        *,
-        payload: int = 8,
-        n_clients: int = 10,
-        service_factory: Callable = None,
-        seed: int = 0,
-        link=None,
-        topology=None,
-        clients_factory: Callable = None,
-    ):
-        """Make the variant's config and stand up its deployment."""
-        config = self.config_factory(f, scale)
-        kwargs = dict(self.build_kwargs)
-        if service_factory is not None:
-            kwargs["service_factory"] = service_factory
-        if link is not None:
-            kwargs["link"] = link
-        if topology is not None:
-            kwargs["topology"] = topology
-        if clients_factory is not None:
-            kwargs["clients_factory"] = clients_factory
-        return self.builder(
-            config, n_clients=n_clients, payload=payload, seed=seed, **kwargs
-        )
+        return deploy(self.name, self.config_factory(f, scale), **kwargs)
 
 
 _REGISTRY: Dict[str, ProtocolSpec] = {}
@@ -136,14 +112,13 @@ def _populate() -> None:
             # Each ordering round costs Θ(n²) certificate messages *per
             # instance*; at n in the hundreds, millisecond-paced rounds
             # would drown the deployment in PREPARE/COMMIT traffic for
-            # near-empty batches.  Above the configurable pacing
-            # threshold (default f > 3) rounds slow to the paced delay so
-            # batches amortise the quadratic fan-out — and certificate
-            # batching across instances activates automatically
-            # (``RBFTConfig.batching_active``).  The f ≤ 3 testbed keeps
-            # the paper's 1 ms and the exact path.
-            if f > config.pacing_f_threshold:
-                config = replace(config, batch_delay=config.paced_batch_delay)
+            # near-empty batches.  On the batched tier (f above the
+            # configurable pacing threshold, default 3) master rounds
+            # slow to the paced delay so batches amortise the quadratic
+            # fan-out, and backup certificates travel in envelopes.  The
+            # f ≤ 3 testbed keeps the paper's 1 ms and the exact path.
+            if config.batching_active:
+                config = replace(config, batch_delay=PACED_BATCH_DELAY)
             return config
 
         return factory
@@ -170,22 +145,30 @@ def _populate() -> None:
     def pbft_config(f, scale):
         return NodeConfig(instance=InstanceConfig(f=f))
 
-    for name, config_factory, node_factory, builder_name, kwargs in (
-        ("rbft", rbft_config(False), RBFTNode, "build_rbft", {}),
-        ("rbft-udp", rbft_config(False), RBFTNode, "build_rbft", {"tcp": False}),
-        ("rbft-full-order", rbft_config(True), RBFTNode, "build_rbft", {}),
-        ("aardvark", aardvark_config(True), AardvarkNode, "build_aardvark", {}),
-        ("aardvark-no-vc", aardvark_config(False), AardvarkNode, "build_aardvark", {}),
-        ("spinning", spinning_config, SpinningNode, "build_spinning", {}),
-        ("prime", prime_config, PrimeNode, "build_prime", {}),
-        ("pbft", pbft_config, BftNode, "build_pbft", {}),
+    def rbft_cluster(tcp):
+        def cluster(config):
+            return {"f": config.f, "tcp": tcp, "cores_per_node": config.cores_per_machine}
+
+        return cluster
+
+    def instance_cluster(config):
+        return {"f": config.instance.f}
+
+    def spinning_cluster(config):
+        # Spinning runs over UDP multicast on a shared NIC (§VI-B).
+        return {"f": config.instance.f, "tcp": False, "separate_nics": False}
+
+    def flat_cluster(config):
+        return {"f": config.f}
+
+    for name, config_factory, node_factory, cluster in (
+        ("rbft", rbft_config(False), RBFTNode, rbft_cluster(True)),
+        ("rbft-udp", rbft_config(False), RBFTNode, rbft_cluster(False)),
+        ("rbft-full-order", rbft_config(True), RBFTNode, rbft_cluster(True)),
+        ("aardvark", aardvark_config(True), AardvarkNode, instance_cluster),
+        ("aardvark-no-vc", aardvark_config(False), AardvarkNode, instance_cluster),
+        ("spinning", spinning_config, SpinningNode, spinning_cluster),
+        ("prime", prime_config, PrimeNode, flat_cluster),
+        ("pbft", pbft_config, BftNode, flat_cluster),
     ):
-        register(
-            ProtocolSpec(
-                name=name,
-                config_factory=config_factory,
-                node_factory=node_factory,
-                builder_name=builder_name,
-                build_kwargs=kwargs,
-            )
-        )
+        register(ProtocolSpec(name, config_factory, node_factory, cluster))

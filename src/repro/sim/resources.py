@@ -195,5 +195,3 @@ class CoreSet:
     def available(self) -> int:
         return len(self.cores) - self._next
 
-    def utilizations(self) -> List[float]:
-        return [core.utilization() for core in self.cores]

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.clients import LoadGenerator, build_profile
 from repro.core import RBFTConfig
-from repro.protocols import registry as protocol_registry
+from repro.experiments.deployments import deploy
 
 from .invariants import InvariantSuite
 from .vocabulary import FaultSpec, install_plan
@@ -31,7 +31,7 @@ COMPLETION_FLOOR = 0.95
 #: The registry variants an episode can target.  The invariant suite and
 #: the fault vocabulary read RBFT node state (per-instance engines, the
 #: instance monitor, master promotion), so episodes are restricted to
-#: the RBFT family; all three share :func:`build_rbft` and
+#: the RBFT family; all three share :class:`RBFTNode` and
 #: :class:`RBFTConfig`, differing only in transport/ordering knobs.
 RBFT_FAMILY = ("rbft", "rbft-udp", "rbft-full-order")
 
@@ -178,15 +178,14 @@ def run_episode(
         flood_threshold=spec.flood_threshold,
         order_full_requests=(spec.protocol == "rbft-full-order"),
     )
-    variant = protocol_registry.get(spec.protocol)
-    build_kwargs = dict(variant.build_kwargs)
+    topology = None
     if spec.topology:
         from repro.net.topology import named
 
-        build_kwargs["topology"] = named(spec.topology)
-    deployment = variant.builder(
-        config, n_clients=spec.n_clients, seed=spec.seed,
-        **build_kwargs
+        topology = named(spec.topology)
+    deployment = deploy(
+        spec.protocol, config, n_clients=spec.n_clients, seed=spec.seed,
+        topology=topology,
     )
     if mutate is not None:
         mutate(deployment)

@@ -79,11 +79,6 @@ class NetworkInterceptor:
                 channel.intercept = None
 
     # ------------------------------------------------------------- rules
-    def add_rule(self, rule: Rule) -> Rule:
-        self.rules.append(rule)
-        self.install()
-        return self
-
     def drop(self, src=None, dst=None, p: float = 1.0,
              start: float = 0.0, until: float = _FOREVER) -> "NetworkInterceptor":
         self.rules.append(Rule(

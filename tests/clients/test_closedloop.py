@@ -3,12 +3,12 @@
 
 from repro.clients.closedloop import ClosedLoopClient
 from repro.core import RBFTConfig
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 
 
 def build(think_time=0.0, n=2):
     config = RBFTConfig(f=1, batch_size=4, batch_delay=2e-4)
-    dep = build_rbft(config, n_clients=0)
+    dep = deploy("rbft", config, n_clients=0)
     clients = [
         ClosedLoopClient(dep.cluster, "client%d" % i, think_time=think_time)
         for i in range(n)
@@ -72,7 +72,7 @@ def test_closed_loop_blinds_rbft_monitoring():
     loop, so the Δ ratio cannot expose a delaying master primary."""
     config = RBFTConfig(f=1, batch_size=4, batch_delay=2e-4,
                         monitoring_period=0.1, min_monitor_requests=5)
-    dep = build_rbft(config, n_clients=0)
+    dep = deploy("rbft", config, n_clients=0)
     clients = [
         ClosedLoopClient(dep.cluster, "client%d" % i) for i in range(4)
     ]

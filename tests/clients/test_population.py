@@ -324,11 +324,12 @@ def test_per_identity_memory_budget():
     """
     import tracemalloc
 
-    from repro.experiments import build_rbft
+    from repro.core import RBFTConfig
+    from repro.experiments import deploy
 
     identities, gap = 4800, 1e-4
-    dep = build_rbft(
-        n_clients=0,
+    dep = deploy(
+        "rbft", RBFTConfig(), n_clients=0,
         clients_factory=lambda cluster, payload: ClientPopulation(
             cluster, size=1_000_000, payload_size=payload
         ),

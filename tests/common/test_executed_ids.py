@@ -220,10 +220,11 @@ def test_retained_memory_per_executed_request():
     import tracemalloc
 
     from repro.core import RBFTConfig
-    from repro.experiments.deployments import build_rbft
+    from repro.experiments import deploy
 
     requests, gap = 5000, 1e-4
-    dep = build_rbft(
+    dep = deploy(
+        "rbft",
         RBFTConfig(f=1, batch_size=8, batch_delay=1e-3, monitoring_period=0.1),
         n_clients=12,
     )

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import RBFTConfig
-from repro.experiments import build_rbft
+from repro.experiments import deploy
+from repro.protocols.base import NodeConfig
 from repro.protocols.pbft.engine import InstanceConfig
 
 
@@ -74,11 +75,32 @@ SMALLEST_ACCEPTED = [
 @pytest.mark.parametrize("knob, value", SMALLEST_ACCEPTED)
 def test_smallest_accepted_knob_completes_requests(knob, value):
     InstanceConfig(**{knob: value})  # accepted by both configs
-    dep = build_rbft(RBFTConfig(**{knob: value}), n_clients=2)
+    dep = deploy("rbft", RBFTConfig(**{knob: value}), n_clients=2)
     for client in dep.clients:
         client.send_request()
     dep.sim.run(until=0.05)
     assert sum(client.completed for client in dep.clients) == 2
+
+
+#: one batch per sequence number and room for one above the low
+#: watermark: the second request's batch is above the window until the
+#: first one's checkpoint stabilises.
+FULL_WINDOW = dict(batch_size=1, watermark_window=1, checkpoint_interval=1)
+
+
+@pytest.mark.parametrize("protocol, config", [
+    ("rbft", RBFTConfig(**FULL_WINDOW)),
+    ("pbft", NodeConfig(instance=InstanceConfig(**FULL_WINDOW))),
+])
+def test_a_batch_above_the_window_waits_for_the_window_to_move(protocol, config):
+    # A primary used to propose it anyway; backups dropped the
+    # pre-prepare and nothing re-sent it, so the second client stalled.
+    dep = deploy(protocol, config, n_clients=2)
+    for index, client in enumerate(dep.clients):
+        dep.sim.call_at(index * 1e-4, client.send_request)
+    dep.sim.run(until=0.1)
+    assert [client.completed for client in dep.clients] == [1, 1]
+    assert all(node.executed_count == 2 for node in dep.nodes)
 
 
 def test_core_budget_enforced():

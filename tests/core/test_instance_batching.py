@@ -26,7 +26,7 @@ from repro.core.node import BatchingInstanceTransport, InstanceTransport
 from repro.crypto import CryptoCostModel
 from repro.crypto.costmodel import MAC_SIZE, MESSAGE_HEADER_SIZE
 from repro.crypto.primitives import MacAuthenticator
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 from repro.protocols import registry
 from repro.protocols.pbft.engine import InstanceConfig, OrderingInstance
 from repro.protocols.pbft.messages import Commit, PrePrepare, Prepare
@@ -52,26 +52,23 @@ def test_batching_activates_above_the_pacing_threshold():
     assert not RBFTConfig(f=3, cores_per_machine=8).batching_active
     assert RBFTConfig(f=4, cores_per_machine=9).batching_active
     assert RBFTConfig(f=2, pacing_f_threshold=1).batching_active
-
-
-def test_explicit_override_beats_the_threshold():
-    assert RBFTConfig(f=1, instance_batching=True).batching_active
-    config = RBFTConfig(f=5, cores_per_machine=10, instance_batching=False)
-    assert not config.batching_active
-    assert config.pacing_tier == "paced"
+    assert RBFTConfig(f=1, pacing_f_threshold=0).batching_active
 
 
 def test_pacing_tiers():
-    assert RBFTConfig(f=1).pacing_tier == "exact"
-    assert RBFTConfig(f=5, cores_per_machine=10).pacing_tier == "batched"
-    assert RBFTConfig(f=1, instance_batching=True).pacing_tier == "batched"
+    """Two tiers, one selector: batched exactly when f is above the
+    threshold, exact otherwise."""
+    for threshold in range(5):
+        for f in range(1, 6):
+            config = RBFTConfig(
+                f=f, pacing_f_threshold=threshold, cores_per_machine=10
+            )
+            assert config.batching_active == (f > threshold)
 
 
 def test_knob_validation():
     with pytest.raises(ValueError, match="pacing_f_threshold"):
-        RBFTConfig(f=1, pacing_f_threshold=0)
-    with pytest.raises(ValueError, match="paced_batch_delay"):
-        RBFTConfig(f=1, paced_batch_delay=0.0)
+        RBFTConfig(f=1, pacing_f_threshold=-1)
     with pytest.raises(ValueError, match="instance_batch_window"):
         RBFTConfig(f=1, instance_batch_window=-1.0)
     with pytest.raises(ValueError, match="instance_batch_limit"):
@@ -82,30 +79,31 @@ def test_knob_validation():
 
 def test_batching_conflicts_with_best_backup_promotion():
     with pytest.raises(ValueError, match="promote_best_backup"):
-        RBFTConfig(f=1, instance_batching=True, promote_best_backup=True)
+        RBFTConfig(f=1, pacing_f_threshold=0, promote_best_backup=True)
     # The exact path still allows promotion.
     RBFTConfig(f=1, promote_best_backup=True)
 
 
 def test_registry_applies_the_pacing_knobs_on_the_scenario_path():
     """The Scenario path resolves configs through the registry; the
-    pacing threshold and paced delay must come from the config knobs,
-    not a hard-coded rule."""
+    pacing threshold must come from the config knob, not a hard-coded
+    rule, and the batched tier paces the master at the registry's
+    delay."""
     from repro.experiments.scale import SMOKE
 
     factory = registry.get("rbft").config_factory
     small = factory(3, SMOKE)
     assert small.batch_delay == pytest.approx(1e-3)
-    assert small.pacing_tier == "exact"
+    assert not small.batching_active
     large = factory(5, SMOKE)
-    assert large.batch_delay == pytest.approx(large.paced_batch_delay)
-    assert large.pacing_tier == "batched"
+    assert large.batch_delay == pytest.approx(registry.PACED_BATCH_DELAY)
+    assert large.batching_active
 
 
 def test_backup_instance_config_paces_only_on_the_batched_tier():
     exact = small_config(f=1)
     assert exact.backup_instance_config() == exact.instance_config()
-    batched = small_config(f=1, instance_batching=True)
+    batched = small_config(f=1, pacing_f_threshold=0)
     backup = batched.backup_instance_config()
     assert backup.batch_delay == pytest.approx(batched.backup_batch_delay)
     assert batched.instance_config().batch_delay == pytest.approx(1e-3)
@@ -241,12 +239,12 @@ def test_dispatch_batch_matches_receiving_one_message_at_a_time():
 
 # ------------------------------------------------- batched deployment runs
 def test_batched_transport_wiring_and_master_exactness():
-    dep = build_rbft(small_config(f=1, instance_batching=True), n_clients=2)
+    dep = deploy("rbft", small_config(f=1, pacing_f_threshold=0), n_clients=2)
     node = dep.nodes[0]
     assert isinstance(node.engines[0].transport, InstanceTransport)
     assert isinstance(node.engines[1].transport, BatchingInstanceTransport)
     assert "cert_coalescer" in node.log_sizes()
-    exact = build_rbft(small_config(f=1), n_clients=2)
+    exact = deploy("rbft", small_config(f=1), n_clients=2)
     assert all(
         isinstance(e.transport, InstanceTransport)
         for e in exact.nodes[0].engines
@@ -262,15 +260,15 @@ def test_forced_batching_reproduces_unbatched_outcomes(f):
     coalescing reorders jitter draws — so only robust outcomes can be
     compared)."""
     results = {}
-    for forced in (None, True):
-        dep = build_rbft(
-            small_config(f=f, instance_batching=forced),
+    for threshold in (3, 0):
+        dep = deploy(
+            "rbft", small_config(f=f, pacing_f_threshold=threshold),
             n_clients=4,
             seed=11,
         )
         drive(dep, 40)
         dep.sim.run(until=1.5)
-        results[forced] = {
+        results[threshold] = {
             "executed": [n.executed_count for n in dep.nodes],
             "completed": [c.completed for c in dep.clients],
             "ordered": [
@@ -278,13 +276,13 @@ def test_forced_batching_reproduces_unbatched_outcomes(f):
             ],
             "instance_changes": [n.instance_changes for n in dep.nodes],
         }
-    assert results[True] == results[None]
-    assert results[True]["executed"] == [40] * (3 * f + 1)
-    assert results[True]["instance_changes"] == [0] * (3 * f + 1)
+    assert results[0] == results[3]
+    assert results[0]["executed"] == [40] * (3 * f + 1)
+    assert results[0]["instance_changes"] == [0] * (3 * f + 1)
 
 
 def test_batched_run_sends_envelopes_and_summarises_backups():
-    dep = build_rbft(small_config(f=1, instance_batching=True), n_clients=4)
+    dep = deploy("rbft", small_config(f=1, pacing_f_threshold=0), n_clients=4)
     drive(dep, 40)
     dep.sim.run(until=1.5)
     node = dep.nodes[0]

@@ -4,13 +4,13 @@
 from repro.core import RBFTConfig
 from repro.core.messages import InstanceChangeMsg
 from repro.crypto import MacAuthenticator
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 
 
 def small(**overrides):
     defaults = dict(f=1, batch_size=4, batch_delay=5e-4, monitoring_period=0.1)
     defaults.update(overrides)
-    return build_rbft(RBFTConfig(**defaults), n_clients=2)
+    return deploy("rbft", RBFTConfig(**defaults), n_clients=2)
 
 
 def inject(node, sender, cpi, preferred=0):

@@ -8,11 +8,11 @@ pipeline for already-admitted requests, is untouched.
 
 
 from repro.core import RBFTConfig
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 
 
 def test_client_flood_does_not_touch_peer_nics():
-    dep = build_rbft(RBFTConfig(f=1, batch_size=4, batch_delay=5e-4), n_clients=2)
+    dep = deploy("rbft", RBFTConfig(f=1, batch_size=4, batch_delay=5e-4), n_clients=2)
     node = dep.nodes[0]
     flooder, victim_client = dep.clients
 
@@ -35,7 +35,7 @@ def test_client_flood_does_not_touch_peer_nics():
 
 
 def test_real_traffic_flows_while_client_nic_is_hammered():
-    dep = build_rbft(RBFTConfig(f=1, batch_size=4, batch_delay=5e-4), n_clients=2)
+    dep = deploy("rbft", RBFTConfig(f=1, batch_size=4, batch_delay=5e-4), n_clients=2)
     flooder, victim_client = dep.clients
 
     def flood():

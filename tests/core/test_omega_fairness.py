@@ -10,7 +10,7 @@ through a different (fair) primary, so it provides the reference.
 
 
 from repro.core import RBFTConfig
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 from repro.faults import install_unfair_primary
 
 
@@ -23,7 +23,7 @@ def run(omega, delay=4e-3, requests=400):
         lambda_max=10.0,  # Λ out of the picture
         omega=omega,
     )
-    dep = build_rbft(config, n_clients=2, payload=1024)
+    dep = deploy("rbft", config, n_clients=2, payload=1024)
     install_unfair_primary(dep, "client0", lambda i: delay)
     sim = dep.sim
 
@@ -57,7 +57,7 @@ def test_fair_primary_never_trips_omega():
         f=1, batch_size=4, batch_delay=2e-4, monitoring_period=0.2,
         lambda_max=10.0, omega=1e-3,
     )
-    dep = build_rbft(config, n_clients=2, payload=1024)
+    dep = deploy("rbft", config, n_clients=2, payload=1024)
     sim = dep.sim
 
     def client_loop(client):

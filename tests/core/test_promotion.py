@@ -3,7 +3,7 @@
 
 from repro.clients import LoadGenerator, static_profile
 from repro.core import RBFTConfig
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 from repro.faults import BatchPacer
 
 
@@ -18,7 +18,7 @@ def build(promote=True, **overrides):
         promote_best_backup=promote,
     )
     defaults.update(overrides)
-    return build_rbft(RBFTConfig(**defaults), n_clients=4)
+    return deploy("rbft", RBFTConfig(**defaults), n_clients=4)
 
 
 def throttle_master(dep, rate=300.0):

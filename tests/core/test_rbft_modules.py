@@ -4,13 +4,13 @@
 from repro.core import RBFTConfig
 from repro.core.messages import PropagateMsg
 from repro.crypto import MacAuthenticator
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 
 
 def small(**overrides):
     defaults = dict(f=1, batch_size=4, batch_delay=5e-4, monitoring_period=0.1)
     defaults.update(overrides)
-    return build_rbft(RBFTConfig(**defaults), n_clients=2)
+    return deploy("rbft", RBFTConfig(**defaults), n_clients=2)
 
 
 def test_each_module_has_its_own_core():
@@ -146,11 +146,8 @@ def test_udp_rbft_with_loss_still_completes():
     from repro.net.network import LinkProfile
 
     config = RBFTConfig(f=1, batch_size=4, batch_delay=5e-4)
-    dep = build_rbft(
-        config,
-        n_clients=2,
-        tcp=False,
-        link=LinkProfile(udp_loss=0.005),
+    dep = deploy(
+        "rbft-udp", config, n_clients=2, link=LinkProfile(udp_loss=0.005)
     )
     for i in range(30):
         dep.sim.call_after(i * 1e-3, dep.clients[i % 2].send_request)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clients import LoadGenerator, static_profile
 from repro.core import RBFTConfig
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 
 
 def small_config(f=1, **overrides):
@@ -25,7 +25,7 @@ def drive(dep, count, gap=1e-4, **kwargs):
 
 
 def test_single_request_executes_and_replies():
-    dep = build_rbft(small_config(), n_clients=2)
+    dep = deploy("rbft", small_config(), n_clients=2)
     dep.clients[0].send_request()
     dep.sim.run(until=0.5)
     assert dep.clients[0].completed == 1
@@ -35,13 +35,13 @@ def test_single_request_executes_and_replies():
 def test_stage_callbacks_are_bound_once():
     # A queued core job holds its callback: one bound method per node,
     # not one per job (see test_queued_job_memory_budget).
-    node = build_rbft(small_config(), n_clients=1).nodes[0]
+    node = deploy("rbft", small_config(), n_clients=1).nodes[0]
     for name in node._STAGE_CALLBACKS:
         assert getattr(node, name) is getattr(node, name), name
 
 
 def test_all_instances_order_every_request():
-    dep = build_rbft(small_config(), n_clients=4)
+    dep = deploy("rbft", small_config(), n_clients=4)
     drive(dep, 40)
     dep.sim.run(until=1.0)
     for node in dep.nodes:
@@ -50,7 +50,7 @@ def test_all_instances_order_every_request():
 
 
 def test_only_master_instance_triggers_execution():
-    dep = build_rbft(small_config(), n_clients=2)
+    dep = deploy("rbft", small_config(), n_clients=2)
     drive(dep, 10)
     dep.sim.run(until=1.0)
     assert all(node.executed_count == 10 for node in dep.nodes)
@@ -60,20 +60,20 @@ def test_only_master_instance_triggers_execution():
 
 def test_at_most_one_primary_per_node():
     for f in (1, 2):
-        dep = build_rbft(small_config(f=f))
+        dep = deploy("rbft", small_config(f=f))
         for node in dep.nodes:
             primaries = [engine.is_primary for engine in node.engines]
             assert sum(primaries) <= 1
 
 
 def test_f_plus_one_instances_run():
-    dep = build_rbft(small_config(f=2))
+    dep = deploy("rbft", small_config(f=2))
     assert all(len(node.engines) == 3 for node in dep.nodes)
     assert len(dep.nodes) == 7
 
 
 def test_identifier_ordering_not_full_requests():
-    dep = build_rbft(small_config())
+    dep = deploy("rbft", small_config())
     assert all(
         not engine.config.full_payload
         for node in dep.nodes
@@ -85,14 +85,14 @@ def test_request_needs_f_plus_one_propagates():
     """A request sent only to the master primary's node is still executed
     everywhere (the PROPAGATE phase disseminates it), and ordering waits
     for f+1 PROPAGATEs."""
-    dep = build_rbft(small_config(), n_clients=1)
+    dep = deploy("rbft", small_config(), n_clients=1)
     dep.clients[0].send_request(targets=["node0"])
     dep.sim.run(until=0.5)
     assert all(node.executed_count == 1 for node in dep.nodes)
 
 
 def test_invalid_signature_blacklists_client_everywhere():
-    dep = build_rbft(small_config(), n_clients=1)
+    dep = deploy("rbft", small_config(), n_clients=1)
     dep.clients[0].send_request(signature_valid=False)
     dep.sim.run(until=0.5)
     assert all(node.blacklist.banned("client0") for node in dep.nodes)
@@ -100,7 +100,7 @@ def test_invalid_signature_blacklists_client_everywhere():
 
 
 def test_monitoring_counts_per_instance_throughput():
-    dep = build_rbft(small_config(monitoring_period=0.05), n_clients=4)
+    dep = deploy("rbft", small_config(monitoring_period=0.05), n_clients=4)
     gen = LoadGenerator(
         dep.sim,
         dep.clients,
@@ -118,7 +118,7 @@ def test_monitoring_counts_per_instance_throughput():
 
 
 def test_fault_free_run_has_no_instance_change():
-    dep = build_rbft(small_config(monitoring_period=0.05), n_clients=4)
+    dep = deploy("rbft", small_config(monitoring_period=0.05), n_clients=4)
     gen = LoadGenerator(
         dep.sim, dep.clients, static_profile(2000, 0.5), dep.rng.stream("load")
     )
@@ -129,7 +129,7 @@ def test_fault_free_run_has_no_instance_change():
 
 
 def test_instance_change_rotates_all_primaries():
-    dep = build_rbft(small_config(), n_clients=2)
+    dep = deploy("rbft", small_config(), n_clients=2)
     drive(dep, 5)
     dep.sim.run(until=0.3)
     for node in dep.nodes:
@@ -147,7 +147,8 @@ def test_instance_change_rotates_all_primaries():
 
 def test_slow_master_primary_detected_by_delta():
     """A master primary ordering well below the backups is evicted."""
-    dep = build_rbft(
+    dep = deploy(
+        "rbft",
         small_config(monitoring_period=0.1, delta=0.9, min_monitor_requests=10),
         n_clients=4,
     )
@@ -171,8 +172,8 @@ def test_slow_master_primary_detected_by_delta():
 
 
 def test_lambda_latency_violation_triggers_instance_change():
-    dep = build_rbft(
-        small_config(lambda_max=20e-3, monitoring_period=0.1), n_clients=2
+    dep = deploy(
+        "rbft", small_config(lambda_max=20e-3, monitoring_period=0.1), n_clients=2
     )
     dep.nodes[0].engines[0].preprepare_delay_fn = lambda msg: 100e-3
     dep.clients[0].send_request()
@@ -188,7 +189,7 @@ def test_lambda_latency_violation_triggers_instance_change():
 def test_flooding_node_gets_its_nic_closed():
     from repro.core.messages import FloodMsg
 
-    dep = build_rbft(small_config(flood_threshold=16, flood_window=1.0))
+    dep = deploy("rbft", small_config(flood_threshold=16, flood_window=1.0))
     attacker = dep.cluster.machines[3]
     victim = dep.nodes[0]
 
@@ -205,7 +206,7 @@ def test_flooding_node_gets_its_nic_closed():
 def test_closed_nic_stops_charging_the_victim():
     from repro.core.messages import FloodMsg
 
-    dep = build_rbft(small_config(flood_threshold=8, flood_window=1.0))
+    dep = deploy("rbft", small_config(flood_threshold=8, flood_window=1.0))
     attacker = dep.cluster.machines[3]
     victim = dep.nodes[0]
     for _ in range(20):
@@ -220,7 +221,7 @@ def test_closed_nic_stops_charging_the_victim():
 
 
 def test_udp_deployment_works():
-    dep = build_rbft(small_config(), n_clients=2, tcp=False)
+    dep = deploy("rbft-udp", small_config(), n_clients=2)
     drive(dep, 10)
     dep.sim.run(until=0.5)
     assert all(node.executed_count == 10 for node in dep.nodes)
@@ -273,7 +274,7 @@ def check_duplicate_answered_from_reply_cache(sim, nodes, client):
 
 
 def test_duplicate_request_answered_from_reply_cache():
-    dep = build_rbft(small_config(), n_clients=1)
+    dep = deploy("rbft", small_config(), n_clients=1)
     check_duplicate_answered_from_reply_cache(dep.sim, dep.nodes, dep.clients[0])
 
 
@@ -291,7 +292,7 @@ def test_replica_with_a_different_result_keeps_its_own_reply():
         def apply(self, request):
             return ("diverged", self.result_size)
 
-    dep = build_rbft(small_config(), n_clients=1)
+    dep = deploy("rbft", small_config(), n_clients=1)
     odd = dep.nodes[3]
     odd.service = Diverging()
     client = dep.clients[0]
@@ -330,7 +331,7 @@ def test_old_request_and_straggling_propagate_do_not_reexecute():
     from repro.core.messages import PropagateMsg
     from repro.crypto import MacAuthenticator
 
-    dep = build_rbft(small_config(), n_clients=1)
+    dep = deploy("rbft", small_config(), n_clients=1)
     first = replay_an_old_request(dep.sim, dep.nodes, dep.clients[0], until=0.5)
     # ... and a faulty peer re-PROPAGATEs it to everyone for good measure.
     straggler = dep.nodes[3]
@@ -365,7 +366,7 @@ def test_old_request_does_not_reexecute_on_bft_node():
 
 
 def test_f2_deployment_executes_requests():
-    dep = build_rbft(small_config(f=2), n_clients=4)
+    dep = deploy("rbft", small_config(f=2), n_clients=4)
     drive(dep, 20)
     dep.sim.run(until=1.0)
     assert all(node.executed_count == 20 for node in dep.nodes)
@@ -377,7 +378,7 @@ def test_f4_deployment_on_bigger_machines():
         f=4, cores_per_machine=16, batch_size=8, batch_delay=1e-3,
         monitoring_period=0.1,
     )
-    dep = build_rbft(config, n_clients=4)
+    dep = deploy("rbft", config, n_clients=4)
     assert len(dep.nodes) == 13
     assert all(len(node.engines) == 5 for node in dep.nodes)
     drive(dep, 12)

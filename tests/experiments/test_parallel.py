@@ -5,8 +5,14 @@ import os
 import subprocess
 import sys
 
-from repro.experiments import ScenarioScale, attack_sweep, latency_throughput_curve
-from repro.experiments.parallel import RunSpec, execute_specs, resolve_jobs
+from repro.experiments import (
+    Scenario,
+    ScenarioScale,
+    Workload,
+    attack_sweep,
+    latency_throughput_curve,
+)
+from repro.experiments.parallel import execute_specs, resolve_jobs
 from repro.experiments.runner import _capacity_cache, _capacity_key_string
 
 FAST = ScenarioScale(
@@ -35,12 +41,14 @@ def test_resolve_jobs_order(monkeypatch):
 
 def test_execute_specs_serial_matches_parallel_results(monkeypatch):
     monkeypatch.delenv("REPRO_CAPACITY_CACHE", raising=False)
-    spec = RunSpec(kind="static", protocol="pbft", payload=8,
-                   rate=2000.0, scale=FAST)
+    scenario = Scenario(
+        protocol="pbft", payload=8, scale=FAST,
+        workload=Workload("static", rate=2000.0, population=False),
+    )
     _capacity_cache.clear()
-    (serial,) = execute_specs([spec], jobs=1)
+    (serial,) = execute_specs([scenario], jobs=1)
     _capacity_cache.clear()
-    two_serial, two_parallel = execute_specs([spec, spec], jobs=2)
+    two_serial, two_parallel = execute_specs([scenario, scenario], jobs=2)
     assert serial == two_serial == two_parallel
 
 

@@ -2,7 +2,7 @@
 
 
 from repro.core import RBFTConfig
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 from repro.faults import MAX_FLOOD_SIZE, Flooder
 
 
@@ -11,7 +11,7 @@ def build(flood_threshold=32, flood_window=0.5):
         f=1, flood_threshold=flood_threshold, flood_window=flood_window,
         nic_close_duration=1.0,
     )
-    return build_rbft(config, n_clients=1)
+    return deploy("rbft", config, n_clients=1)
 
 
 def test_flooder_sends_to_all_victims():

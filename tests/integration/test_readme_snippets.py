@@ -3,9 +3,9 @@
 
 def test_package_docstring_quickstart():
     from repro.core import RBFTConfig
-    from repro.experiments import build_rbft
+    from repro.experiments import deploy
 
-    deployment = build_rbft(RBFTConfig(f=1), n_clients=3)
+    deployment = deploy("rbft", RBFTConfig(f=1), n_clients=3)
     deployment.clients[0].send_request()
     deployment.sim.run(until=0.5)
     assert deployment.clients[0].completed == 1

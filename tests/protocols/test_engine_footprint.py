@@ -66,7 +66,7 @@ def test_fault_free_run_builds_no_fault_path_state(fault_free_run):
         assert engine.view == 0
         for name in ("_stray", "_stray_owners", "_vc_votes", "_future_held"):
             assert getattr(engine, name) is engine_module._NO_ENTRIES, name
-        for name in ("_waiting_guard", "_future"):
+        for name in ("_waiting_guard", "_future", "_held"):
             assert getattr(engine, name) is engine_module._NO_ITEMS, name
         assert (engine._batcher is not None) == engine.is_primary
     assert sum(engine.is_primary for engine in engines) == 6  # one per instance

@@ -17,18 +17,13 @@ from repro.core import RBFTConfig
 from repro.core.messages import PropagateMsg
 from repro.crypto import MacAuthenticator, Signature
 from repro.crypto.primitives import Digest
-from repro.experiments import (
-    build_aardvark,
-    build_pbft,
-    build_prime,
-    build_rbft,
-    build_spinning,
-)
+from repro.experiments import deploy
 from repro.protocols.aardvark import AardvarkConfig
 from repro.protocols.base import NodeConfig
 from repro.protocols.pbft import engine as engine_module
 from repro.protocols.pbft.engine import InstanceConfig
 from repro.protocols.pbft.messages import Commit, PrePrepare, Prepare
+from repro.protocols.prime import PrimeConfig
 from repro.protocols.spinning import SpinningConfig
 from repro.trace import K_LOG_SIZE, LogSizeWatch, Tracer, collect_final
 from tests.protocols.test_engine_unit import make_group, request, submit_all
@@ -59,19 +54,19 @@ def _small_instance(**overrides):
 
 def _deployment(protocol):
     if protocol == "rbft":
-        return build_rbft(RBFTConfig(
+        config = RBFTConfig(
             batch_size=4, checkpoint_interval=INTERVAL,
             watermark_window=WINDOW,
-        ), n_clients=6)
-    if protocol == "aardvark":
-        return build_aardvark(
-            AardvarkConfig(instance=_small_instance()), n_clients=6
         )
-    if protocol == "spinning":
-        return build_spinning(SpinningConfig(instance=_small_instance(
+    elif protocol == "aardvark":
+        config = AardvarkConfig(instance=_small_instance())
+    elif protocol == "spinning":
+        config = SpinningConfig(instance=_small_instance(
             auto_advance_view=True, multicast_auth=True,
-        )), n_clients=6)
-    return build_pbft(NodeConfig(instance=_small_instance()), n_clients=6)
+        ))
+    else:
+        config = NodeConfig(instance=_small_instance())
+    return deploy(protocol, config, n_clients=6)
 
 
 def _run_watched(dep, rate=2000.0, duration=0.5):
@@ -109,7 +104,7 @@ def test_prime_log_peak_is_horizon_independent():
     # batches, roughly doubling it here.
     peaks = {}
     for duration in (0.3, 0.6):
-        dep = build_prime(n_clients=6)
+        dep = deploy("prime", PrimeConfig(), n_clients=6)
         watch, generator = _run_watched(dep, rate=1500.0, duration=duration)
         assert generator.total_completed() > 0
         peaks[duration] = watch.peak("total")
@@ -300,7 +295,7 @@ def test_invalid_signature_propagate_flood_leaves_no_votes():
     # signatures do not verify.  Each vote is counted before the check,
     # and keys otherwise leave the table only when their request is
     # ordered, which these never are.
-    dep = build_rbft(RBFTConfig(), n_clients=1)
+    dep = deploy("rbft", RBFTConfig(), n_clients=1)
     victim = dep.nodes[1]
     for rid in range(1, 10_001):
         victim.on_network_message(_propagate("node3", _client_request(rid, False)))
@@ -321,7 +316,7 @@ def test_forged_propagate_flood_closes_the_senders_nic():
     # 20 us over the wire: once the flood threshold is crossed the
     # victim closes the sender's NIC, and the rest of the flood is
     # dropped in hardware instead of costing a signature check each.
-    dep = build_rbft(RBFTConfig(), n_clients=1)
+    dep = deploy("rbft", RBFTConfig(), n_clients=1)
     sender, victim = dep.cluster.machines[3], dep.nodes[1]
     for rid in range(1, 10_001):
         msg = _propagate("node3", _client_request(rid, False))
@@ -335,7 +330,7 @@ def test_forged_propagate_flood_closes_the_senders_nic():
 
 
 def test_honest_propagates_are_never_counted_as_invalid():
-    dep = build_rbft(RBFTConfig(), n_clients=4)
+    dep = deploy("rbft", RBFTConfig(), n_clients=4)
     for i in range(40):
         dep.sim.call_at(i * 1e-3, dep.clients[i % 4].send_request)
     dep.sim.run(until=0.5)
@@ -352,7 +347,7 @@ def test_tampered_propagate_keeps_the_honest_vote():
     # failing checks must not erase the honest vote: the victim hears
     # the body only from the client, and with the other replicas muted
     # that vote plus its own is its whole f + 1 quorum.
-    dep = build_rbft(RBFTConfig(), n_clients=1)
+    dep = deploy("rbft", RBFTConfig(), n_clients=1)
     victim = dep.nodes[2]
     for node in dep.nodes:
         node.propagate_silent = node is not victim

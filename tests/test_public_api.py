@@ -28,11 +28,7 @@ EXPERIMENTS_API = [
     "Workload",
     "run",
     "Deployment",
-    "build_aardvark",
-    "build_pbft",
-    "build_prime",
-    "build_rbft",
-    "build_spinning",
+    "deploy",
     "PROTOCOL_VARIANTS",
     "RunResult",
     "attack_sweep",
@@ -50,7 +46,6 @@ EXPERIMENTS_API = [
     "current_scale",
     "profile_report",
     "profile_run",
-    "RunSpec",
     "execute_specs",
     "execute_tasks",
     "resolve_jobs",

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import RBFTConfig
 from repro.experiments import SMOKE, make_deployment
-from repro.experiments.deployments import build_rbft
+from repro.experiments import deploy
 from repro.verify import NetworkInterceptor, Rule, fault, install_plan
 from repro.verify.vocabulary import FAULT_KINDS, FaultSpec
 
@@ -16,7 +16,7 @@ def build(seed=1):
         f=1, batch_size=8, batch_delay=1e-3, monitoring_period=0.1,
         min_monitor_requests=10, flood_threshold=32,
     )
-    return build_rbft(config, n_clients=6, seed=seed)
+    return deploy("rbft", config, n_clients=6, seed=seed)
 
 
 def test_unknown_fault_kind_is_rejected():

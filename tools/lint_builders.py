@@ -1,37 +1,23 @@
 #!/usr/bin/env python
-"""Forbid direct ``build_*`` / profile-constructor imports in the library.
+"""Forbid direct rate-profile-constructor imports in the library.
 
-Two registries own their respective factories, and library code must
-resolve through them rather than hard-coding a concrete factory:
+The workload registry (``repro.clients.registry``) is the one place that
+maps pack names to rate-profile constructors; ``Scenario(workload=...)``
+and ``build_profile`` resolve through it.  Importing ``static_profile``
+and friends directly pins a traffic shape the registry no longer
+controls.  (Deployments need no such guard: ``deploy`` is the only
+assembly there is.)
 
-* The protocol registry (``repro.protocols.registry``) is the one place
-  that maps variant names to deployment builders; ``Scenario``/``run``
-  and ``make_deployment`` resolve through it.  Library code importing
-  ``build_rbft`` and friends directly bypasses that indirection, and the
-  variant it hard-codes silently falls out of sync with the registry.
-* The workload registry (``repro.clients.registry``) is the one place
-  that maps pack names to rate-profile constructors;
-  ``Scenario(workload=...)`` and ``build_profile`` resolve through it.
-  Importing ``static_profile`` and friends directly pins a traffic shape
-  the registry no longer controls.
-
-Allowed for builders:
-
-* ``repro/experiments/deployments.py`` — defines the builders;
-* ``repro/protocols/registry.py`` — maps names to them;
-* ``repro/experiments/__init__.py`` — re-exports them for downstream
-  users (the builders stay public; only *internal* use is restricted).
-
-Allowed for profile constructors:
+Allowed:
 
 * ``repro/clients/workloads.py`` — defines them;
 * ``repro/clients/registry.py`` — maps pack names to them;
 * ``repro/clients/__init__.py`` — re-exports them.
 
-Everything else under ``src/repro`` must go through the registries.
+Everything else under ``src/repro`` must go through the registry.
 Exits non-zero listing offending ``file:line`` locations, so CI can run
 it as a lint step.  Tests, benchmarks and examples are exempt: they may
-pin a concrete factory on purpose.
+pin a concrete profile on purpose.
 """
 
 from __future__ import annotations
@@ -39,18 +25,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-
-BUILDERS = frozenset(
-    ["build_rbft", "build_aardvark", "build_spinning", "build_prime", "build_pbft"]
-)
-
-ALLOWED = frozenset(
-    [
-        os.path.join("repro", "experiments", "deployments.py"),
-        os.path.join("repro", "experiments", "__init__.py"),
-        os.path.join("repro", "protocols", "registry.py"),
-    ]
-)
 
 PROFILES = frozenset(
     [
@@ -72,20 +46,9 @@ PROFILES_ALLOWED = frozenset(
 )
 
 
-def _names_for(rel: str):
-    """The forbidden-name set that applies to one file."""
-    names = set()
-    if rel not in ALLOWED:
-        names |= BUILDERS
-    if rel not in PROFILES_ALLOWED:
-        names |= PROFILES
-    return names
-
-
 def violations_in(path: str, rel: str):
-    """Yield (line, name) for each direct factory import in one file."""
-    names = _names_for(rel)
-    if not names:
+    """Yield (line, name) for each direct profile import in one file."""
+    if rel in PROFILES_ALLOWED:
         return
     with open(path, "r", encoding="utf-8") as fileobj:
         try:
@@ -96,9 +59,9 @@ def violations_in(path: str, rel: str):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in names:
+                if alias.name in PROFILES:
                     yield (node.lineno, alias.name)
-        elif isinstance(node, ast.Attribute) and node.attr in names:
+        elif isinstance(node, ast.Attribute) and node.attr in PROFILES:
             yield (node.lineno, node.attr)
 
 
@@ -114,10 +77,9 @@ def main(argv) -> int:
             for line, name in violations_in(path, rel):
                 found.append("%s:%d: direct use of %s" % (rel, line, name))
     if found:
-        print("lint_builders: library code must resolve deployments via")
-        print("repro.protocols.registry (or make_deployment) and rate")
-        print("profiles via repro.clients.registry (build_profile), not")
-        print("concrete factories:")
+        print("lint_builders: library code must resolve rate profiles via")
+        print("repro.clients.registry (build_profile), not concrete")
+        print("constructors:")
         for entry in found:
             print("  " + entry)
         return 1
