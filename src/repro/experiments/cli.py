@@ -80,7 +80,8 @@ def _cmd_table1(args) -> None:
 
 def _cmd_fig1(args) -> None:
     rows = attack_sweep(
-        "prime", scale=current_scale(), exec_cost=1e-4, jobs=args.jobs
+        "prime", scale=current_scale(), f=args.f, exec_cost=1e-4,
+        jobs=args.jobs,
     )
     print(format_attack_rows(
         "Fig. 1: Prime relative throughput under attack", rows,
@@ -89,7 +90,9 @@ def _cmd_fig1(args) -> None:
 
 
 def _cmd_fig2(args) -> None:
-    rows = attack_sweep("aardvark", scale=current_scale(), jobs=args.jobs)
+    rows = attack_sweep(
+        "aardvark", scale=current_scale(), f=args.f, jobs=args.jobs
+    )
     print(format_attack_rows(
         "Fig. 2: Aardvark relative throughput under attack", rows,
         paper_note="static >= 76 %, dynamic down to 13 %",
@@ -97,7 +100,9 @@ def _cmd_fig2(args) -> None:
 
 
 def _cmd_fig3(args) -> None:
-    rows = attack_sweep("spinning", scale=current_scale(), jobs=args.jobs)
+    rows = attack_sweep(
+        "spinning", scale=current_scale(), f=args.f, jobs=args.jobs
+    )
     print(format_attack_rows(
         "Fig. 3: Spinning relative throughput under attack", rows,
         paper_note="collapses to 1 % (static) / 4.5 % (dynamic)",
@@ -110,7 +115,8 @@ def _cmd_fig7(args) -> None:
     series = {}
     for variant in ("rbft", "rbft-udp", "prime", "aardvark", "spinning"):
         rows = latency_throughput_curve(
-            variant, args.payload, scale=current_scale(), jobs=args.jobs
+            variant, args.payload, scale=current_scale(), f=args.f,
+            jobs=args.jobs,
         )
         print(format_curve("Fig. 7 (%d B) — %s" % (args.payload, variant), rows))
         print()
@@ -134,7 +140,9 @@ def _cmd_fig8(args) -> None:
 
 
 def _cmd_fig9(args) -> None:
-    view = monitoring_view(1, payload=args.payload, scale=current_scale())
+    view = monitoring_view(
+        1, payload=args.payload, scale=current_scale(), f=args.f
+    )
     print(format_monitoring_view(
         "Fig. 9: monitored throughput per node (worst-attack-1)", view
     ))
@@ -152,7 +160,9 @@ def _cmd_fig10(args) -> None:
 
 
 def _cmd_fig11(args) -> None:
-    view = monitoring_view(2, payload=args.payload, scale=current_scale())
+    view = monitoring_view(
+        2, payload=args.payload, scale=current_scale(), f=args.f
+    )
     print(format_monitoring_view(
         "Fig. 11: monitored throughput per node (worst-attack-2)", view
     ))
@@ -417,6 +427,9 @@ def _cmd_check(args) -> int:
     return EX_OK
 
 
+#: figures whose runner measures the paper's f = 1 testbed only.
+F1_ONLY = ("table1", "fig12")
+
 COMMANDS = {
     "table1": (_cmd_table1, "Table I: baseline worst-case degradations"),
     "fig1": (_cmd_fig1, "Prime under attack"),
@@ -553,6 +566,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # A figure's flags are checked before any capacity probe runs.
     jobs = 1 if args.jobs is None else args.jobs
     for bad, reason in ((args.f < 1, "needs f >= 1 (got f=%d)" % args.f),
+                        (args.command in F1_ONLY and args.f != 1,
+                         "measures f = 1 only (got f=%d)" % args.f),
                         (args.payload < 0, "payload must be >= 0, got %d" % args.payload),
                         (jobs < 1, "jobs must be >= 1, got %d" % jobs)):
         if bad:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.clients import LoadGenerator, build_profile
 from repro.trace import (
     K_CORE_JOB,
     K_INSTANCE_CHANGE,
@@ -27,8 +26,8 @@ from repro.trace import (
     format_profile_report,
 )
 
-from .runner import ATTACK_INSTALLERS, make_deployment, probe_capacity
 from .scale import SMOKE, ScenarioScale
+from .scenario import Scenario, run
 
 __all__ = ["PROFILABLE", "PROFILE_KINDS", "profile_run", "profile_report"]
 
@@ -73,27 +72,18 @@ def profile_run(
             "cannot profile %r; choose one of %s" % (fig, sorted(PROFILABLE))
         ) from None
     scale = scale or SMOKE
-    payload = default_payload if payload is None else payload
-    if payload < 0:
-        raise ValueError("payload must be >= 0, got %r" % (payload,))
-    capacity = probe_capacity(protocol, payload, scale, f=f, seed=seed)
-    deployment = make_deployment(protocol, payload, scale, f=f, seed=seed)
-    send_kwargs = {}
-    if attack is not None:
-        handle = ATTACK_INSTALLERS[attack](deployment)
-        send_kwargs = getattr(handle, "client_send_kwargs", {}) or {}
-    tracer = Tracer(kinds=PROFILE_KINDS)
-    deployment.sim.tracer = tracer
-    generator = LoadGenerator(
-        deployment.sim,
-        deployment.clients,
-        build_profile("static", 1.25 * capacity, scale.duration),
-        deployment.rng.stream("load"),
-        send_kwargs=send_kwargs,
-    )
-    generator.start()
-    deployment.sim.run(until=scale.duration)
-    return tracer, deployment, scale.duration
+    traced = {}
+
+    def trace(deployment, faulty_names):
+        traced["tracer"] = deployment.sim.tracer = Tracer(kinds=PROFILE_KINDS)
+        traced["deployment"] = deployment
+
+    run(Scenario(
+        protocol=protocol,
+        payload=default_payload if payload is None else payload,
+        attack=attack, f=f, seed=seed, scale=scale,
+    ), attach=trace)
+    return traced["tracer"], traced["deployment"], scale.duration
 
 
 def profile_report(

@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.clients import LoadGenerator, Workload, build_profile
+from repro.clients import Workload
 from repro.common import NullService
 from repro.core import RBFTConfig
 from repro.faults import (
@@ -38,6 +38,7 @@ from repro.protocols import registry as protocol_registry
 
 from .deployments import Deployment, deploy
 from .scale import ScenarioScale, current_scale
+from .scenario import Scenario, run
 
 __all__ = [
     "RunResult",
@@ -116,18 +117,14 @@ class RunResult:
     completed_rate: float
     mean_latency: float  # seconds, client-side
     p99_latency: float
-    instance_changes: int = 0
-    view_changes: int = 0
-    events: int = 0  # simulator queue items dispatched over the run
-    #: peak per-instance protocol-log size, populated only when the
-    #: scenario ran with ``track_log_sizes=True`` (see docs/simulator.md,
-    #: "Memory model & garbage collection").
-    peak_log_size: int = 0
+    instance_changes: int
+    view_changes: int
+    events: int  # simulator queue items dispatched over the run
     #: workload pack the run offered (see repro.clients.registry).
-    workload: str = "static"
-    #: declared client-population size; 0 when the run was driven
-    #: outside the Scenario path (probes, hand-built generators).
-    declared_clients: int = 0
+    workload: str
+    #: declared client-population size (``Workload.clients`` or the
+    #: pack's default).
+    declared_clients: int
 
 
 def make_deployment(
@@ -162,72 +159,6 @@ def make_deployment(
     )
 
 
-def _correct_observers(deployment: Deployment, faulty_nodes) -> list:
-    faulty = set(id(node) for node in (faulty_nodes or []))
-    observers = [n for n in deployment.nodes if id(n) not in faulty]
-    if not observers:
-        raise RuntimeError("no correct node to observe")
-    return observers
-
-
-def _execute_run(
-    deployment: Deployment,
-    profile,
-    duration: float,
-    warmup: float,
-    send_kwargs: Optional[dict] = None,
-    faulty_nodes=None,
-) -> RunResult:
-    sim = deployment.sim
-    observers = _correct_observers(deployment, faulty_nodes)
-    generator = LoadGenerator(
-        sim,
-        deployment.population
-        if deployment.population is not None
-        else deployment.clients,
-        profile,
-        deployment.rng.stream("load"),
-        send_kwargs=send_kwargs or {},
-    )
-    generator.start()
-    marks = {}
-    sim.call_at(
-        warmup,
-        lambda: marks.__setitem__(
-            "start", [node.executed_count for node in observers]
-        ),
-    )
-    sim.run(until=duration)
-    starts = marks.get("start", [0] * len(observers))
-    # System throughput is what the up-to-date correct replicas executed;
-    # an attack may deliberately impair one correct node (worst-attack-1
-    # targets the master primary's node), and a lagging replica catches
-    # up by state transfer rather than by re-executing history.
-    executed = max(
-        node.executed_count - start for node, start in zip(observers, starts)
-    )
-    window = duration - warmup
-    completed = generator.total_completed()
-    observer = max(observers, key=lambda node: node.executed_count)
-    instance_changes = getattr(observer, "instance_changes", 0)
-    view_changes = getattr(
-        getattr(observer, "engine", None), "view_changes", 0
-    ) or getattr(observer, "view_changes", 0)
-    return RunResult(
-        protocol="",
-        payload=0,
-        offered_rate=0.0,
-        executed_rate=executed / window if window > 0 else 0.0,
-        completed=completed,
-        completed_rate=completed / duration,
-        mean_latency=generator.mean_latency(),
-        p99_latency=generator.latency_percentile(0.99),
-        instance_changes=instance_changes,
-        view_changes=view_changes,
-        events=sim.dispatched,
-    )
-
-
 def probe_capacity(
     protocol: str,
     payload: int = 8,
@@ -259,15 +190,12 @@ def probe_capacity(
             return persisted
 
     def probe(rate: float) -> float:
-        deployment = make_deployment(
-            protocol, payload, scale, f=f, seed=seed, exec_cost=exec_cost
-        )
-        result = _execute_run(
-            deployment,
-            build_profile("static", rate, scale.probe_duration),
-            duration=scale.probe_duration,
-            warmup=scale.probe_duration * 0.4,
-        )
+        result = run(Scenario(
+            protocol=protocol, payload=payload, f=f, seed=seed,
+            exec_cost=exec_cost, scale=scale,
+            workload=Workload("static", rate=rate),
+            duration=scale.probe_duration, warmup=0.4 * scale.probe_duration,
+        ))
         return max(result.executed_rate, 1.0)
 
     # Stage 1: coarse over-offering, capped so large payloads don't swamp
@@ -300,6 +228,13 @@ def _attack_for(protocol: str, attack: Optional[str]) -> Optional[str]:
     return attack
 
 
+def _relative_pct(attacked: RunResult, fault_free: RunResult) -> float:
+    """``attacked``'s executed rate as a percentage of ``fault_free``'s."""
+    if fault_free.executed_rate <= 0:
+        return 0.0
+    return 100.0 * attacked.executed_rate / fault_free.executed_rate
+
+
 def relative_throughput(
     protocol: str,
     payload: int = 8,
@@ -311,8 +246,6 @@ def relative_throughput(
     exec_cost: float = 20e-6,
 ) -> Tuple[float, RunResult, RunResult]:
     """Throughput under attack as a percentage of the fault-free run."""
-    from .scenario import Scenario, run
-
     base = Scenario(
         protocol=protocol, payload=payload,
         workload=Workload("spike" if dynamic else "static"), scale=scale,
@@ -320,17 +253,7 @@ def relative_throughput(
     )
     fault_free = run(base)
     attacked = run(base.with_(attack=attack))
-    if fault_free.executed_rate <= 0:
-        return 0.0, fault_free, attacked
-    percent = 100.0 * attacked.executed_rate / fault_free.executed_rate
-    return percent, fault_free, attacked
-
-
-def _relative_pct(attacked: RunResult, fault_free: RunResult) -> float:
-    """The same arithmetic as :func:`relative_throughput`, on results."""
-    if fault_free.executed_rate <= 0:
-        return 0.0
-    return 100.0 * attacked.executed_rate / fault_free.executed_rate
+    return _relative_pct(attacked, fault_free), fault_free, attacked
 
 
 def _sweep_scenarios(
@@ -342,8 +265,6 @@ def _sweep_scenarios(
 ) -> List:
     """Four runs per request size, in the serial execution order: static
     then spike load, each fault-free then attacked."""
-    from .scenario import Scenario
-
     return [
         Scenario(
             protocol=protocol, payload=size,
@@ -409,7 +330,6 @@ def latency_throughput_curve(
     points themselves fan out across ``jobs`` worker processes.
     """
     from .parallel import execute_specs
-    from .scenario import Scenario
 
     scale = scale or current_scale()
     capacity = probe_capacity(protocol, payload, scale, f, exec_cost)
@@ -451,28 +371,21 @@ def monitoring_view(
     averaged over the post-warmup monitoring windows, for correct nodes.
     """
     scale = scale or current_scale()
-    capacity = probe_capacity("rbft", payload, scale, f)
-    deployment = make_deployment("rbft", payload, scale, f=f, n_clients=12)
-    installer = (
-        install_rbft_worst_attack_1
-        if worst_attack == 1
-        else install_rbft_worst_attack_2
-    )
-    handle = installer(deployment)
-    generator = LoadGenerator(
-        deployment.sim,
-        deployment.clients,
-        build_profile("static", 1.25 * capacity, scale.duration),
-        deployment.rng.stream("load"),
-        send_kwargs=getattr(handle, "client_send_kwargs", {}) or {},
-    )
-    generator.start()
-    deployment.sim.run(until=scale.duration)
-    faulty = set(node.name for node in handle.faulty_nodes)
+    correct = []
+
+    def keep_correct(deployment, faulty_names):
+        # The paper omits the faulty node's (arbitrary) values.
+        correct.extend(
+            node for node in deployment.nodes if node.name not in faulty_names
+        )
+
+    run(Scenario(
+        protocol="rbft", payload=payload, f=f, scale=scale,
+        attack="rbft-worst1" if worst_attack == 1 else "rbft-worst2",
+        workload=Workload("static", population=False),
+    ), attach=keep_correct)
     view: Dict[str, List[float]] = {}
-    for node in deployment.nodes:
-        if node.name in faulty:
-            continue  # the paper omits the faulty node's (arbitrary) values
+    for node in correct:
         rates = []
         for series in node.monitor.rate_series:
             samples = [r for t, r in series if t >= scale.warmup]

@@ -24,16 +24,27 @@ are deterministic given the scenario: two calls with the same value
 produce byte-identical :class:`~repro.experiments.runner.RunResult`\\ s
 (and identical ``repro.verify`` invariant digests).
 
-This is the **only** run path: every figure runner, sweep and
-verification episode goes through :func:`run`.
+Every figure goes through :func:`run`: the sweeps of Figs 1–3, 8 and
+10, the Fig. 7 curve points, the capacity probe, the Figs 9/11
+monitoring view and the ``profile`` command.  The last two read state
+beyond :class:`RunResult` through ``run(..., attach=hook)``.  Two runs
+do not go through it, because a :class:`Scenario` cannot describe them
+yet.  A verification episode (:mod:`repro.verify.episode`) sets its
+own ``RBFTConfig``, loads ``clients[1:]`` and drains after the load.
+Fig. 12 (``unfair_primary_run``) drives two closed-loop clients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from repro.clients import POPULATION_THRESHOLD, Workload
+from repro.clients import (
+    POPULATION_THRESHOLD,
+    ClientPopulation,
+    LoadGenerator,
+    Workload,
+)
 from repro.clients import registry as workload_registry
 from repro.net.network import LinkProfile
 from repro.net.topology import Topology
@@ -76,11 +87,6 @@ class Scenario:
     #: measure the whole run, as in §VI-A).
     duration: Optional[float] = None
     warmup: Optional[float] = None
-    #: attach a ``pbft.log-size`` gauge watch and report the peak
-    #: per-instance protocol-log size in ``RunResult.peak_log_size``
-    #: (what the bounded-memory tests assert on).  Tracing stays
-    #: off — and the result byte-identical — when False.
-    track_log_sizes: bool = False
     #: the traffic model (a pack name or a Workload value); ``None``
     #: means the default static workload.
     workload: Optional[Union[str, Workload]] = None
@@ -141,16 +147,16 @@ def _resolved_rate(
     return spec.probe_rate(capacity)
 
 
-def run(scenario: Scenario):
-    """Execute one scenario and return its :class:`RunResult`."""
-    from repro.clients import ClientPopulation
+def run(scenario: Scenario, *, attach: Optional[Callable] = None):
+    """Execute one scenario and return its :class:`RunResult`.
 
-    from .runner import (
-        ATTACK_INSTALLERS,
-        _attack_for,
-        _execute_run,
-        make_deployment,
-    )
+    ``attach(deployment, faulty_names)`` runs once the attack is
+    installed and before the load starts: the one hook for installing a
+    tracer or a watch, or for keeping the deployment to read after the
+    run (Figs 9/11 read the per-node monitors).  A hook that schedules
+    no simulator event leaves the result byte-identical.
+    """
+    from .runner import ATTACK_INSTALLERS, RunResult, _attack_for, make_deployment
 
     scale = scenario.scale or current_scale()
     workload = scenario.workload
@@ -173,7 +179,6 @@ def run(scenario: Scenario):
         else workload.clients
     )
     profile = spec.profile_factory(rate, duration, scenario.payload, declared)
-    offered = profile.mean_rate() if spec.whole_run else rate
 
     aggregate = (
         declared >= POPULATION_THRESHOLD
@@ -198,19 +203,7 @@ def run(scenario: Scenario):
         n_clients=n_clients, link=scenario.link, topology=scenario.topology,
         clients_factory=clients_factory,
     )
-    watch = None
-    if scenario.track_log_sizes:
-        from repro.trace import Tracer
-        from repro.trace.events import K_LOG_SIZE
-        from repro.trace.gauge import LogSizeWatch
-
-        # Source-filtered to the gauge kind: emissions never schedule
-        # simulator events, so the run's dispatch sequence — and with it
-        # every seeded result — is unchanged by watching.
-        watch = LogSizeWatch()
-        deployment.sim.tracer = Tracer(
-            sink=watch, kinds=frozenset({K_LOG_SIZE})
-        )
+    sim = deployment.sim
     send_kwargs = {}
     faulty_nodes = None
     attack_name = _attack_for(scenario.protocol, scenario.attack)
@@ -222,22 +215,55 @@ def run(scenario: Scenario):
             "prime", "aardvark", "spinning"
         ):
             faulty_nodes = [deployment.nodes[0]]
-    result = _execute_run(
-        deployment,
-        profile,
-        duration=duration,
-        warmup=warmup,
-        send_kwargs=send_kwargs,
-        faulty_nodes=faulty_nodes,
-    )
-    result.protocol = scenario.protocol
-    result.payload = scenario.payload
-    result.offered_rate = offered
-    result.workload = workload.shape
-    result.declared_clients = declared
-    if watch is not None:
-        from repro.trace.gauge import collect_final
+    faulty_names = [node.name for node in faulty_nodes or ()]
+    if attach is not None:
+        attach(deployment, faulty_names)
+    observers = [n for n in deployment.nodes if n.name not in faulty_names]
+    if not observers:
+        raise RuntimeError("no correct node to observe")
 
-        collect_final(watch, deployment.nodes)
-        result.peak_log_size = watch.peak("total")
-    return result
+    generator = LoadGenerator(
+        sim,
+        deployment.population
+        if deployment.population is not None
+        else deployment.clients,
+        profile,
+        deployment.rng.stream("load"),
+        send_kwargs=send_kwargs,
+    )
+    generator.start()
+    marks = {}
+    sim.call_at(
+        warmup,
+        lambda: marks.__setitem__(
+            "start", [node.executed_count for node in observers]
+        ),
+    )
+    sim.run(until=duration)
+    starts = marks.get("start", [0] * len(observers))
+    # System throughput is what the up-to-date correct replicas executed;
+    # an attack may deliberately impair one correct node (worst-attack-1
+    # targets the master primary's node), and a lagging replica catches
+    # up by state transfer rather than by re-executing history.
+    executed = max(
+        node.executed_count - start for node, start in zip(observers, starts)
+    )
+    completed = generator.total_completed()
+    observer = max(observers, key=lambda node: node.executed_count)
+    return RunResult(
+        protocol=scenario.protocol,
+        payload=scenario.payload,
+        offered_rate=profile.mean_rate() if spec.whole_run else rate,
+        executed_rate=executed / (duration - warmup),
+        completed=completed,
+        completed_rate=completed / duration,
+        mean_latency=generator.mean_latency(),
+        p99_latency=generator.latency_percentile(0.99),
+        instance_changes=getattr(observer, "instance_changes", 0),
+        view_changes=getattr(
+            getattr(observer, "engine", None), "view_changes", 0
+        ) or getattr(observer, "view_changes", 0),
+        events=sim.dispatched,
+        workload=workload.shape,
+        declared_clients=declared,
+    )

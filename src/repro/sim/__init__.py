@@ -1,15 +1,12 @@
 """Discrete-event simulation kernel: clock, events, processes, cores, RNG."""
 
-from .engine import AllOf, AnyOf, Event, Handle, Interrupt, Process, Simulator, Timeout
+from .engine import Event, Handle, Process, Simulator, Timeout
 from .resources import Core, CoreSet
 from .rng import RngTree
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Event",
     "Handle",
-    "Interrupt",
     "Process",
     "Simulator",
     "Timeout",

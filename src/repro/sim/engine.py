@@ -58,26 +58,9 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
-    "Handle",
-    "Simulator",
-    "AllOf",
-    "AnyOf",
-]
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another actor interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+__all__ = ["Event", "Timeout", "Process", "Handle", "Simulator"]
 
 
 def _apply(packed: tuple) -> None:
@@ -122,39 +105,28 @@ class Handle:
 class Event:
     """A one-shot occurrence other actors can wait on.
 
-    An event is *triggered* exactly once, either with :meth:`succeed` or
-    :meth:`fail`.  Callbacks registered before triggering fire when the
-    event is processed; callbacks registered afterwards fire immediately.
+    An event is *triggered* exactly once, with :meth:`succeed`.
+    Callbacks registered before triggering fire when the event is
+    processed; callbacks registered afterwards fire immediately.
     """
 
-    __slots__ = ("sim", "callbacks", "triggered", "ok", "value")
+    __slots__ = ("sim", "callbacks", "triggered", "value")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self.triggered = False
-        self.ok = False
         self.value: Any = None
 
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise RuntimeError("event already triggered")
         self.triggered = True
-        self.ok = True
         self.value = value
-        # _schedule_event, inlined: triggering is a hot path.
+        # Pushed here, not through a helper: triggering is a hot path.
         sim = self.sim
         sim._seq = seq = sim._seq + 1
         heapq.heappush(sim._heap, (sim.now, seq, Event._process, self))
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        if self.triggered:
-            raise RuntimeError("event already triggered")
-        self.triggered = True
-        self.ok = False
-        self.value = exception
-        self.sim._schedule_event(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -179,63 +151,14 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError("negative timeout delay: %r" % delay)
-        # Event.__init__ and _schedule_event, inlined: load generators
+        # Event.__init__ and the heap push, inlined: load generators
         # create one Timeout per request, making this a hot path.
         self.sim = sim
         self.callbacks = []
         self.triggered = True
-        self.ok = True
         self.value = value
         sim._seq = seq = sim._seq + 1
         heapq.heappush(sim._heap, (sim.now + delay, seq, Event._process, self))
-
-
-class AllOf(Event):
-    """Succeeds when every child event has succeeded.
-
-    Fails fast with the first child failure.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        self._pending = len(events)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        for event in events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed(None)
-
-
-class AnyOf(Event):
-    """Succeeds when the first child event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        for event in events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(event)
-        else:
-            self.fail(event.value)
 
 
 class Process(Event):
@@ -247,39 +170,18 @@ class Process(Event):
     can wait on each other.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(gen, "__name__", "process")
         # Start on the next queue drain, at the current time.  Anonymous
-        # fast path: a process start is never cancelled, only the process
-        # itself can be interrupted once running.
+        # fast path: a process start is never cancelled.
         sim.call_soon(self._resume, None)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if self.triggered:
-            return
-        waiting = self._waiting_on
-        self._waiting_on = None
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._on_event)
-            except ValueError:
-                pass
-        self.sim.call_soon(self._throw, Interrupt(cause))
-
     def _on_event(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wake-up after an interrupt
-        self._waiting_on = None
-        if event.ok:
-            self._resume(event.value)
-        else:
-            self._throw(event.value)
+        self._resume(event.value)
 
     def _resume(self, value: Any) -> None:
         if self.triggered:
@@ -289,41 +191,19 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            raise
-        # _wait_for, inlined: one resume per yielded event makes the
-        # extra frames (wait_for + add_callback) measurable.
         if not isinstance(target, Event):
             raise TypeError(
                 "process %r yielded %r; processes must yield Event objects"
                 % (self.name, target)
             )
-        self._waiting_on = target
+        # Event.add_callback, inlined: one resume per yielded event
+        # makes the extra frame measurable.
         callbacks = target.callbacks
         if callbacks is None:
             # Already processed: fire immediately, preserving causal order.
             self._on_event(target)
         else:
             callbacks.append(self._on_event)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        try:
-            target = self._gen.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        self._wait_for(target)
-
-    def _wait_for(self, target: Any) -> None:
-        if not isinstance(target, Event):
-            raise TypeError(
-                "process %r yielded %r; processes must yield Event objects"
-                % (self.name, target)
-            )
-        self._waiting_on = target
-        target.add_callback(self._on_event)
 
 
 class Simulator:
@@ -380,12 +260,6 @@ class Simulator:
         else:
             heapq.heappush(self._heap, (time, self._seq, _apply, (fn, args)))
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(
-            self._heap, (self.now + delay, self._seq, Event._process, event)
-        )
-
     # -------------------------------------------------------------- factories
     def event(self) -> Event:
         return Event(self)
@@ -395,12 +269,6 @@ class Simulator:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------- loop
     def run(self, until: Optional[float] = None) -> None:

@@ -22,8 +22,11 @@ def test_unknown_command_rejected():
 
 
 def test_fig9_runs_end_to_end(capsys, monkeypatch):
-    # The smallest real command: one monitored run.
-    monkeypatch.delenv("RBFT_FULL", raising=False)
+    # The smallest real command: one monitored run, at the SMOKE scale.
+    import repro.experiments.cli as cli
+    from repro.experiments import SMOKE
+
+    monkeypatch.setattr(cli, "current_scale", lambda: SMOKE)
     assert main(["fig9", "--payload", "1024"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 9" in out
@@ -273,6 +276,8 @@ def test_run_negative_payload_is_a_usage_error(capsys):
         (["fig9", "--payload", "-1"], "payload must be >= 0"),
         (["table1", "--jobs", "0"], "jobs must be >= 1"),  # used to run serially
         (["fig2", "--jobs", "-3"], "jobs must be >= 1"),
+        (["table1", "--f", "2"], "f = 1 only"),  # used to run f = 1 silently
+        (["fig12", "--f", "2"], "f = 1 only"),
     ],
 )
 def test_figure_invalid_values_are_usage_errors(argv, reason, capsys, monkeypatch):
@@ -289,3 +294,34 @@ def test_figure_invalid_values_are_usage_errors(argv, reason, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.err.startswith(argv[0] + ": ") and reason in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, runner, result",
+    [
+        ("fig1", "attack_sweep", []),
+        ("fig2", "attack_sweep", []),
+        ("fig3", "attack_sweep", []),
+        ("fig7", "latency_throughput_curve", [
+            {"offered": 1.0, "throughput": 1.0, "latency_ms": 1.0},
+        ]),
+        ("fig8", "attack_sweep", []),
+        ("fig9", "monitoring_view", {}),
+        ("fig10", "attack_sweep", []),
+        ("fig11", "monitoring_view", {}),
+    ],
+)
+def test_figure_passes_f_to_its_runner(command, runner, result, monkeypatch, capsys):
+    # Every figure parser accepts --f; a runner called without it
+    # silently simulated f = 1.
+    import repro.experiments.cli as cli
+
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs.get("f"))
+        return result
+
+    monkeypatch.setattr(cli, runner, record)
+    assert main([command, "--f", "2"]) == 0
+    assert seen and set(seen) == {2}

@@ -6,9 +6,19 @@ scenario (RunResult is a plain dataclass; equality is field-by-field,
 covering rates, latencies and event counts).
 """
 
+import hashlib
+
 import pytest
 
-from repro.experiments import SMOKE, Scenario, Workload, run
+from repro.experiments import (
+    SMOKE,
+    Scenario,
+    ScenarioScale,
+    Workload,
+    monitoring_view,
+    probe_capacity,
+    run,
+)
 
 
 def test_runs_are_deterministic():
@@ -110,16 +120,63 @@ def test_scenario_rejects_a_negative_payload():
 def test_profile_rejects_bad_arguments_before_simulating(
     arguments, reason, monkeypatch, tmp_path
 ):
-    from repro.experiments import profiling
+    from repro.experiments import profiling, runner
 
     def built(*args, **kwargs):
         raise AssertionError("simulated before validating the arguments")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(profiling, "probe_capacity", built)
-    monkeypatch.setattr(profiling, "make_deployment", built)
+    monkeypatch.setattr(runner, "probe_capacity", built)
+    monkeypatch.setattr(runner, "make_deployment", built)
     with pytest.raises(ValueError, match=reason):
         profiling.profile_report("fig7", **arguments)
+
+
+# ------------------------------------------- the figure paths through run()
+#
+# The capacity probe, the Figs 9/11 monitoring view and the profile
+# report each assembled their own run before they went through run();
+# these values were recorded from those hand-built assemblies on a short
+# scale, so a drift in run()'s assembly shows up here.
+PIN = ScenarioScale(
+    name="pin", duration=0.12, warmup=0.04, probe_duration=0.06,
+    sizes=(8,), rate_points=2, monitoring_period=0.02,
+    aardvark_grace=0.35, aardvark_period=0.05,
+)
+
+
+@pytest.mark.parametrize(
+    "worst_attack, expected",
+    [
+        (1, {"node0": [13087.5, 13312.5], "node1": [17500.0, 18225.0],
+             "node2": [17500.0, 18225.0]}),
+        (2, {"node1": [18300.0, 18012.5], "node2": [18300.0, 18012.5],
+             "node3": [18300.0, 18012.5]}),
+    ],
+)
+def test_monitoring_view_is_pinned(worst_attack, expected):
+    assert monitoring_view(worst_attack, payload=1024, scale=PIN) == expected
+
+
+def test_profile_report_is_pinned():
+    from repro.experiments.profiling import profile_report
+
+    report = profile_report("fig8", scale=PIN, payload=4096)
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "fb3d0e911ed421b26e21d0c19e58b2ee6a505e3917fd92d09c45856abb6c6af2"
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol, expected",
+    [("rbft", 30500.000000000004), ("prime", 10805.555555555557)],
+)
+def test_probe_capacity_is_pinned(protocol, expected, monkeypatch):
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "_capacity_cache", {})
+    monkeypatch.delenv("REPRO_CAPACITY_CACHE", raising=False)
+    assert probe_capacity(protocol, scale=PIN) == expected
 
 
 def test_with_replaces_fields():

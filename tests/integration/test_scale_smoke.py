@@ -34,6 +34,9 @@ import pytest
 
 from repro.experiments import SMOKE, Scenario, Workload, run
 from repro.protocols.pbft.engine import InstanceConfig
+from repro.trace import Tracer
+from repro.trace.events import K_LOG_SIZE
+from repro.trace.gauge import LogSizeWatch, collect_final
 
 PROTOCOLS = ("rbft", "aardvark", "spinning", "prime", "pbft")
 
@@ -88,6 +91,15 @@ def _cases():
 
 @pytest.mark.parametrize("protocol,f,rate,duration,warmup", _cases())
 def test_fault_free_at_scale(protocol, f, rate, duration, warmup):
+    watch = LogSizeWatch()
+    nodes = []
+
+    def watch_logs(deployment, faulty_names):
+        # Source-filtered to the gauge kind: emissions never schedule
+        # simulator events, so the seeded counts are unchanged.
+        deployment.sim.tracer = Tracer(sink=watch, kinds={K_LOG_SIZE})
+        nodes.extend(deployment.nodes)
+
     result = run(Scenario(
         protocol=protocol,
         f=f,
@@ -96,16 +108,16 @@ def test_fault_free_at_scale(protocol, f, rate, duration, warmup):
         scale=SMOKE,
         duration=duration,
         warmup=warmup,
-        track_log_sizes=True,
-    ))
+    ), attach=watch_logs)
+    collect_final(watch, nodes)
     offered = rate * duration
     assert result.completed >= 0.4 * offered, (
         "only %d of ~%.0f requests completed at n=%d"
         % (result.completed, offered, 3 * f + 1)
     )
-    assert result.peak_log_size <= LOG_BOUND, (
+    assert watch.peak("total") <= LOG_BOUND, (
         "peak log %d above the %d-entry envelope at n=%d"
-        % (result.peak_log_size, LOG_BOUND, 3 * f + 1)
+        % (watch.peak("total"), LOG_BOUND, 3 * f + 1)
     )
     assert result.instance_changes == 0, (
         "fault-free run triggered %d instance changes at n=%d"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -205,23 +205,6 @@ def test_process_return_value_propagates():
     assert results == ["result"]
 
 
-def test_process_interrupt():
-    sim = Simulator()
-    trace = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            trace.append("slept")
-        except Interrupt as intr:
-            trace.append(("interrupted", sim.now, intr.cause))
-
-    proc = sim.process(sleeper())
-    sim.call_after(2.0, proc.interrupt, "wake")
-    sim.run()
-    assert trace == [("interrupted", 2.0, "wake")]
-
-
 def test_process_yield_non_event_raises():
     sim = Simulator()
 
@@ -231,32 +214,6 @@ def test_process_yield_non_event_raises():
     sim.process(bad())
     with pytest.raises(TypeError):
         sim.run()
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    done = []
-
-    def proc():
-        yield sim.all_of([sim.timeout(1.0), sim.timeout(3.0), sim.timeout(2.0)])
-        done.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert done == [3.0]
-
-
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    done = []
-
-    def proc():
-        yield sim.any_of([sim.timeout(5.0), sim.timeout(1.0)])
-        done.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert done == [1.0]
 
 
 def test_peek_returns_next_time():

@@ -1,23 +1,31 @@
 #!/usr/bin/env python
-"""Forbid direct rate-profile-constructor imports in the library.
+"""Guard the library's two single points of assembly.
 
-The workload registry (``repro.clients.registry``) is the one place that
-maps pack names to rate-profile constructors; ``Scenario(workload=...)``
-and ``build_profile`` resolve through it.  Importing ``static_profile``
-and friends directly pins a traffic shape the registry no longer
-controls.  (Deployments need no such guard: ``deploy`` is the only
-assembly there is.)
+1. **Rate profiles.**  The workload registry (``repro.clients.registry``)
+   is the one place that maps pack names to rate-profile constructors;
+   ``Scenario(workload=...)`` and ``build_profile`` resolve through it.
+   Importing ``static_profile`` and friends directly pins a traffic
+   shape the registry no longer controls.  Allowed:
 
-Allowed:
+   * ``repro/clients/workloads.py`` — defines them;
+   * ``repro/clients/registry.py`` — maps pack names to them;
+   * ``repro/clients/__init__.py`` — re-exports them.
 
-* ``repro/clients/workloads.py`` — defines them;
-* ``repro/clients/registry.py`` — maps pack names to them;
-* ``repro/clients/__init__.py`` — re-exports them.
+2. **Load generators.**  ``run(scenario, attach=...)`` is the one
+   assembly of a measured run; a runner that constructs its own
+   ``LoadGenerator`` is a second copy of it.  Allowed:
 
-Everything else under ``src/repro`` must go through the registry.
-Exits non-zero listing offending ``file:line`` locations, so CI can run
-it as a lint step.  Tests, benchmarks and examples are exempt: they may
-pin a concrete profile on purpose.
+   * ``repro/experiments/scenario.py`` — ``run()`` itself;
+   * ``repro/verify/episode.py`` — an episode loads ``clients[1:]``
+     under a hand-set config and drains after the load, which a
+     ``Scenario`` cannot describe yet.
+
+(Deployments need no such guard: ``deploy`` is the only assembly there
+is.)  Everything else under ``src/repro`` goes through the registry and
+``run()``.  Exits non-zero listing offending ``file:line`` locations, so
+CI can run it as a lint step.  Tests, benchmarks and examples are
+exempt: they may pin a concrete profile or drive a run piecewise on
+purpose.
 """
 
 from __future__ import annotations
@@ -45,11 +53,16 @@ PROFILES_ALLOWED = frozenset(
     ]
 )
 
+GENERATORS_ALLOWED = frozenset(
+    [
+        os.path.join("repro", "experiments", "scenario.py"),
+        os.path.join("repro", "verify", "episode.py"),
+    ]
+)
+
 
 def violations_in(path: str, rel: str):
-    """Yield (line, name) for each direct profile import in one file."""
-    if rel in PROFILES_ALLOWED:
-        return
+    """Yield (line, message) for each guarded use in one file."""
     with open(path, "r", encoding="utf-8") as fileobj:
         try:
             tree = ast.parse(fileobj.read(), filename=rel)
@@ -57,12 +70,17 @@ def violations_in(path: str, rel: str):
             yield (exc.lineno or 0, "syntax error: %s" % exc.msg)
             return
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in PROFILES:
-                    yield (node.lineno, alias.name)
-        elif isinstance(node, ast.Attribute) and node.attr in PROFILES:
-            yield (node.lineno, node.attr)
+        if rel not in PROFILES_ALLOWED:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in PROFILES:
+                        yield (node.lineno, "direct use of %s" % alias.name)
+            elif isinstance(node, ast.Attribute) and node.attr in PROFILES:
+                yield (node.lineno, "direct use of %s" % node.attr)
+        if rel not in GENERATORS_ALLOWED and isinstance(node, ast.Call):
+            func = node.func  # a Name has .id, an Attribute .attr
+            if getattr(func, "id", getattr(func, "attr", None)) == "LoadGenerator":
+                yield (node.lineno, "LoadGenerator constructed outside run()")
 
 
 def main(argv) -> int:
@@ -74,12 +92,12 @@ def main(argv) -> int:
                 continue
             path = os.path.join(dirpath, filename)
             rel = os.path.relpath(path, root)
-            for line, name in violations_in(path, rel):
-                found.append("%s:%d: direct use of %s" % (rel, line, name))
+            for line, message in violations_in(path, rel):
+                found.append("%s:%d: %s" % (rel, line, message))
     if found:
         print("lint_builders: library code must resolve rate profiles via")
-        print("repro.clients.registry (build_profile), not concrete")
-        print("constructors:")
+        print("repro.clients.registry (build_profile) and run scenarios")
+        print("through repro.experiments.run:")
         for entry in found:
             print("  " + entry)
         return 1
