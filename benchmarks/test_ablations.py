@@ -12,24 +12,20 @@
   latency.
 """
 
-from conftest import run_once
-
 from repro.clients import LoadGenerator, static_profile
 from repro.experiments import (
+    current_scale,
     latency_throughput_curve,
     make_deployment,
     probe_capacity,
 )
 
+scale = current_scale()
 
-def test_aardvark_without_view_changes_matches_rbft(benchmark, scale):
-    def probe_both():
-        return (
-            probe_capacity("rbft", 8, scale),
-            probe_capacity("aardvark-no-vc", 8, scale),
-        )
 
-    rbft_peak, no_vc_peak = run_once(benchmark, probe_both)
+def test_aardvark_without_view_changes_matches_rbft():
+    rbft_peak = probe_capacity("rbft", 8, scale)
+    no_vc_peak = probe_capacity("aardvark-no-vc", 8, scale)
     print(
         "\nAblation: RBFT %.1f kreq/s vs Aardvark-without-view-changes %.1f kreq/s"
         % (rbft_peak / 1e3, no_vc_peak / 1e3)
@@ -38,7 +34,7 @@ def test_aardvark_without_view_changes_matches_rbft(benchmark, scale):
     assert abs(rbft_peak - no_vc_peak) / rbft_peak < 0.15
 
 
-def test_ordering_identifiers_relieves_replica_cores(benchmark, scale):
+def test_ordering_identifiers_relieves_replica_cores():
     """Identifier vs full-request ordering, measured at the replica cores."""
 
     def run(protocol):
@@ -58,10 +54,8 @@ def test_ordering_identifiers_relieves_replica_cores(benchmark, scale):
         )
         return replica_util, node.executed_count
 
-    def both():
-        return run("rbft"), run("rbft-full-order")
-
-    (ids_util, ids_executed), (full_util, full_executed) = run_once(benchmark, both)
+    ids_util, ids_executed = run("rbft")
+    full_util, full_executed = run("rbft-full-order")
     print(
         "\nAblation (4 kB): replica-core utilisation — identifiers %.3f, "
         "full requests %.3f" % (ids_util, full_util)
@@ -72,13 +66,9 @@ def test_ordering_identifiers_relieves_replica_cores(benchmark, scale):
     assert ids_executed >= 0.9 * full_executed
 
 
-def test_udp_latency_below_tcp(benchmark, scale):
-    def curves():
-        tcp = latency_throughput_curve("rbft", 8, scale=scale)
-        udp = latency_throughput_curve("rbft-udp", 8, scale=scale)
-        return tcp, udp
-
-    tcp, udp = run_once(benchmark, curves)
+def test_udp_latency_below_tcp():
+    tcp = latency_throughput_curve("rbft", 8, scale=scale)
+    udp = latency_throughput_curve("rbft-udp", 8, scale=scale)
     print(
         "\nAblation: low-load latency TCP %.2f ms vs UDP %.2f ms"
         % (tcp[0]["latency_ms"], udp[0]["latency_ms"])
@@ -90,7 +80,7 @@ def test_udp_latency_below_tcp(benchmark, scale):
     assert udp[0]["latency_ms"] < tcp[0]["latency_ms"]
 
 
-def test_delta_sensitivity(benchmark, scale):
+def test_delta_sensitivity():
     """Our addition: the Δ threshold bounds what a worst-2 attacker takes.
 
     The residual throughput under worst-attack-2 tracks Δ: a looser
@@ -117,10 +107,7 @@ def test_delta_sensitivity(benchmark, scale):
         deployment.sim.run(until=scale.duration)
         return deployment.nodes[1].executed_count
 
-    def both():
-        return run(0.97), run(0.75)
-
-    tight, loose = run_once(benchmark, both)
+    tight, loose = run(0.97), run(0.75)
     print("\nAblation: worst-2 executed with Δ=0.97: %d, with Δ=0.75: %d"
           % (tight, loose))
     assert loose < tight  # a looser Δ lets the attacker shave more

@@ -6,19 +6,12 @@ stays comfortably in the same order of magnitude and all the robustness
 properties (Figs 8b/10b) carry over.
 """
 
-from conftest import run_once
-
-from repro.experiments import probe_capacity
+from repro.experiments import current_scale, probe_capacity
 
 
-def test_f2_capacity_within_same_order_of_magnitude(benchmark, scale):
-    def probe_both():
-        return (
-            probe_capacity("rbft", 8, scale, f=1),
-            probe_capacity("rbft", 8, scale, f=2),
-        )
-
-    f1, f2 = run_once(benchmark, probe_both)
+def test_f2_capacity_within_same_order_of_magnitude():
+    f1 = probe_capacity("rbft", 8, current_scale(), f=1)
+    f2 = probe_capacity("rbft", 8, current_scale(), f=2)
     print("\nRBFT fault-free peak: f=1 %.1f kreq/s, f=2 %.1f kreq/s"
           % (f1 / 1e3, f2 / 1e3))
     assert f2 < f1  # larger quorums and more propagation cost something

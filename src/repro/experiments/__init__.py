@@ -1,9 +1,10 @@
-"""Experiment harness: one runner per table/figure of the paper.
+"""Experiment harness: the runners and the table of the paper's figures.
 
-What a scenario needs to run is imported eagerly; the profiling harness
-resolves on first use, so running a scenario does not pay for importing
-it.  What a change *costs* is measured by the perf ledger under
-``bench/`` (``BENCHMARK.json``), not from here.
+What a scenario needs to run is imported eagerly; the figure table
+(``FIGURES``) and the profiling harness resolve on first use, so running
+a scenario does not pay for importing them.  What a change *costs* is
+measured by the perf ledger under ``bench/`` (``BENCHMARK.json``), not
+from here.
 """
 
 from repro.clients import Workload
@@ -15,10 +16,8 @@ from .runner import (
     attack_sweep,
     latency_throughput_curve,
     make_deployment,
-    monitoring_view,
     probe_capacity,
     relative_throughput,
-    table1,
     unfair_primary_run,
 )
 from .parallel import execute_specs, execute_tasks, resolve_jobs
@@ -37,11 +36,10 @@ __all__ = [
     "attack_sweep",
     "latency_throughput_curve",
     "make_deployment",
-    "monitoring_view",
     "probe_capacity",
     "relative_throughput",
-    "table1",
     "unfair_primary_run",
+    "FIGURES",
     "FULL",
     "QUICK",
     "SMOKE",
@@ -58,6 +56,7 @@ __all__ = [
 
 #: names resolved lazily (PEP 562): name -> defining submodule.
 _LAZY = {
+    "FIGURES": "figures",
     "profile_report": "profiling",
     "profile_run": "profiling",
 }

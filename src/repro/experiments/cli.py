@@ -56,148 +56,30 @@ EX_OK = 0
 EX_GATE = 1
 EX_USAGE = 2
 
-from .report import (
-    format_attack_rows,
-    format_curve,
-    format_monitoring_view,
-    format_table1,
-)
-from .runner import (
-    attack_sweep,
-    latency_throughput_curve,
-    monitoring_view,
-    table1,
-    unfair_primary_run,
-)
+from .figures import FIGURES
 from .scale import current_scale
 
 __all__ = ["main"]
 
 
-def _cmd_table1(args) -> None:
-    print(format_table1(table1(scale=current_scale(), jobs=args.jobs)))
-
-
-def _cmd_fig1(args) -> None:
-    rows = attack_sweep(
-        "prime", scale=current_scale(), f=args.f, exec_cost=1e-4,
-        jobs=args.jobs,
-    )
-    print(format_attack_rows(
-        "Fig. 1: Prime relative throughput under attack", rows,
-        paper_note="drops to 22-40 % across sizes",
-    ))
-
-
-def _cmd_fig2(args) -> None:
-    rows = attack_sweep(
-        "aardvark", scale=current_scale(), f=args.f, jobs=args.jobs
-    )
-    print(format_attack_rows(
-        "Fig. 2: Aardvark relative throughput under attack", rows,
-        paper_note="static >= 76 %, dynamic down to 13 %",
-    ))
-
-
-def _cmd_fig3(args) -> None:
-    rows = attack_sweep(
-        "spinning", scale=current_scale(), f=args.f, jobs=args.jobs
-    )
-    print(format_attack_rows(
-        "Fig. 3: Spinning relative throughput under attack", rows,
-        paper_note="collapses to 1 % (static) / 4.5 % (dynamic)",
-    ))
-
-
-def _cmd_fig7(args) -> None:
-    from .ascii_chart import multi_scatter
-
-    series = {}
-    for variant in ("rbft", "rbft-udp", "prime", "aardvark", "spinning"):
-        rows = latency_throughput_curve(
-            variant, args.payload, scale=current_scale(), f=args.f,
-            jobs=args.jobs,
-        )
-        print(format_curve("Fig. 7 (%d B) — %s" % (args.payload, variant), rows))
-        print()
-        series[variant] = [
-            (row["throughput"] / 1e3, row["latency_ms"]) for row in rows
-        ]
-    print(multi_scatter(
-        series, x_label="throughput (kreq/s)", y_label="latency (ms)",
-    ))
-
-
-def _cmd_fig8(args) -> None:
-    rows = attack_sweep(
-        "rbft", scale=current_scale(), attack="rbft-worst1", f=args.f,
-        jobs=args.jobs,
-    )
-    print(format_attack_rows(
-        "Fig. 8: RBFT under worst-attack-1 (f=%d)" % args.f, rows,
-        paper_note="loss below 2.2 % (f=1) / 0.4 % (f=2)",
-    ))
-
-
-def _cmd_fig9(args) -> None:
-    view = monitoring_view(
-        1, payload=args.payload, scale=current_scale(), f=args.f
-    )
-    print(format_monitoring_view(
-        "Fig. 9: monitored throughput per node (worst-attack-1)", view
-    ))
-
-
-def _cmd_fig10(args) -> None:
-    rows = attack_sweep(
-        "rbft", scale=current_scale(), attack="rbft-worst2", f=args.f,
-        jobs=args.jobs,
-    )
-    print(format_attack_rows(
-        "Fig. 10: RBFT under worst-attack-2 (f=%d)" % args.f, rows,
-        paper_note="loss below 3 % (f=1) / 1 % (f=2)",
-    ))
-
-
-def _cmd_fig11(args) -> None:
-    view = monitoring_view(
-        2, payload=args.payload, scale=current_scale(), f=args.f
-    )
-    print(format_monitoring_view(
-        "Fig. 11: monitored throughput per node (worst-attack-2)", view
-    ))
-
-
-def _cmd_fig12(args) -> None:
-    result = unfair_primary_run(scale=current_scale())
-    attacked = result["series"]["client0"].values()
-    other = result["series"]["client1"].values()
-
-    def mean_ms(values, lo, hi):
-        segment = values[lo:hi]
-        return sum(segment) / len(segment) * 1e3 if segment else 0.0
-
-    print("Fig. 12: unfair primary vs the latency monitor (Λ = %.1f ms)"
-          % (result["lambda_max"] * 1e3))
-    print("  attacked client: fair %.2f ms -> delayed %.2f ms -> after "
-          "change %.2f ms"
-          % (mean_ms(attacked, 100, 450), mean_ms(attacked, 600, 950),
-             mean_ms(attacked, 1060, None)))
-    print("  other client stayed at %.2f ms" % mean_ms(other, 100, 950))
-    if result["instance_change_at"] is not None:
-        print("  protocol instance change at t=%.3f s"
-              % result["instance_change_at"])
-    from .ascii_chart import multi_scatter
-
-    print()
-    print(multi_scatter(
-        {
-            "attacked": list(enumerate(v * 1e3 for v in attacked)),
-            "other": list(enumerate(v * 1e3 for v in other)),
-        },
-        x_label="request number",
-        y_label="latency (ms)",
-    ))
+def _cmd_figure(args) -> int:
+    figure = FIGURES[args.command]
+    payload, jobs = vars(args).get("payload"), vars(args).get("jobs")
+    # A figure's flags are checked before any capacity probe runs.
+    if args.f < 1:
+        reason = "needs f >= 1 (got f=%d)" % args.f
+    elif figure.f1_only and args.f != 1:
+        reason = "measures f = 1 only (got f=%d)" % args.f
+    elif payload is not None and payload < 0:
+        reason = "payload must be >= 0, got %d" % payload
+    elif jobs is not None and jobs < 1:
+        reason = "jobs must be >= 1, got %d" % jobs
+    else:
+        rows = figure.rows(current_scale(), args.f, payload, jobs)
+        print(figure.text(rows, args.f))
+        return EX_OK
+    print("%s: %s" % (args.command, reason), file=sys.stderr)
+    return EX_USAGE
 
 
 def _cmd_workloads(args) -> int:
@@ -427,23 +309,6 @@ def _cmd_check(args) -> int:
     return EX_OK
 
 
-#: figures whose runner measures the paper's f = 1 testbed only.
-F1_ONLY = ("table1", "fig12")
-
-COMMANDS = {
-    "table1": (_cmd_table1, "Table I: baseline worst-case degradations"),
-    "fig1": (_cmd_fig1, "Prime under attack"),
-    "fig2": (_cmd_fig2, "Aardvark under attack"),
-    "fig3": (_cmd_fig3, "Spinning under attack"),
-    "fig7": (_cmd_fig7, "latency vs throughput, fault-free"),
-    "fig8": (_cmd_fig8, "RBFT under worst-attack-1"),
-    "fig9": (_cmd_fig9, "monitoring view, worst-attack-1"),
-    "fig10": (_cmd_fig10, "RBFT under worst-attack-2"),
-    "fig11": (_cmd_fig11, "monitoring view, worst-attack-2"),
-    "fig12": (_cmd_fig12, "unfair primary vs latency monitoring"),
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -451,15 +316,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(set RBFT_FULL=1 for the full-scale sweeps).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--payload", type=int, default=8 if name == "fig7" else 4096,
-                         help="request payload size in bytes")
+    for name, figure in FIGURES.items():
+        cmd = sub.add_parser(name, help=figure.title % {"f": 1})
+        if figure.payload is not None:
+            cmd.add_argument("--payload", type=int, default=figure.payload,
+                             help="request payload size in bytes")
         cmd.add_argument("--f", type=int, default=1,
                          help="number of tolerated faults")
-        cmd.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the sweep (default: "
-                         "REPRO_JOBS or cpu_count()-1; 1 = serial)")
+        if figure.fans_out:
+            cmd.add_argument("--jobs", type=int, default=None,
+                             help="worker processes for the sweep (default: "
+                             "REPRO_JOBS or cpu_count()-1; 1 = serial)")
 
     sub.add_parser(
         "workloads",
@@ -553,28 +420,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "directories of them (e.g. benchmarks/adversary/)")
 
     args = parser.parse_args(argv)
-    if args.command == "workloads":
-        return _cmd_workloads(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "explore":
-        return _cmd_explore(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    # A figure's flags are checked before any capacity probe runs.
-    jobs = 1 if args.jobs is None else args.jobs
-    for bad, reason in ((args.f < 1, "needs f >= 1 (got f=%d)" % args.f),
-                        (args.command in F1_ONLY and args.f != 1,
-                         "measures f = 1 only (got f=%d)" % args.f),
-                        (args.payload < 0, "payload must be >= 0, got %d" % args.payload),
-                        (jobs < 1, "jobs must be >= 1, got %d" % jobs)):
-        if bad:
-            print("%s: %s" % (args.command, reason), file=sys.stderr)
-            return EX_USAGE
-    COMMANDS[args.command][0](args)
-    return EX_OK
+    handler = {
+        "workloads": _cmd_workloads, "run": _cmd_run, "profile": _cmd_profile,
+        "explore": _cmd_explore, "check": _cmd_check,
+    }.get(args.command, _cmd_figure)
+    return handler(args)
 
 
 if __name__ == "__main__":

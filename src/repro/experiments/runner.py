@@ -1,4 +1,5 @@
-"""Experiment runners — one function per table/figure of the paper.
+"""Experiment runners: the sweeps, curves and runs the paper's figures
+are made of (:mod:`.figures` turns them into tables).
 
 Measurement conventions:
 
@@ -47,9 +48,7 @@ __all__ = [
     "relative_throughput",
     "attack_sweep",
     "latency_throughput_curve",
-    "monitoring_view",
     "unfair_primary_run",
-    "table1",
     "PROTOCOL_VARIANTS",
 ]
 
@@ -359,41 +358,6 @@ def latency_throughput_curve(
     ]
 
 
-def monitoring_view(
-    worst_attack: int = 1,
-    payload: int = 4096,
-    scale: Optional[ScenarioScale] = None,
-    f: int = 1,
-) -> Dict[str, List[float]]:
-    """Figs 9 and 11: per-node monitored throughput, master vs backups.
-
-    Returns {node_name: [rate of instance 0, rate of instance 1, ...]}
-    averaged over the post-warmup monitoring windows, for correct nodes.
-    """
-    scale = scale or current_scale()
-    correct = []
-
-    def keep_correct(deployment, faulty_names):
-        # The paper omits the faulty node's (arbitrary) values.
-        correct.extend(
-            node for node in deployment.nodes if node.name not in faulty_names
-        )
-
-    run(Scenario(
-        protocol="rbft", payload=payload, f=f, scale=scale,
-        attack="rbft-worst1" if worst_attack == 1 else "rbft-worst2",
-        workload=Workload("static", population=False),
-    ), attach=keep_correct)
-    view: Dict[str, List[float]] = {}
-    for node in correct:
-        rates = []
-        for series in node.monitor.rate_series:
-            samples = [r for t, r in series if t >= scale.warmup]
-            rates.append(sum(samples) / len(samples) if samples else 0.0)
-        view[node.name] = rates
-    return view
-
-
 def unfair_primary_run(
     lambda_max: float = 1.5e-3,
     payload: int = 4096,
@@ -471,35 +435,3 @@ def unfair_primary_run(
         "deployment": deployment,
     }
 
-
-def table1(
-    scale: Optional[ScenarioScale] = None, jobs: Optional[int] = None
-) -> Dict[str, float]:
-    """Table I: maximum throughput degradation of the three baselines.
-
-    All three protocols' sweeps are enumerated up front and executed as
-    one fan-out, so the pool sees the whole table's worth of runs.
-    """
-    from .parallel import execute_specs
-
-    scale = scale or current_scale()
-    protocols = ("prime", "aardvark", "spinning")
-    scenarios = []
-    for protocol in protocols:
-        exec_cost = 1e-4 if protocol == "prime" else 20e-6
-        scenarios.extend(
-            _sweep_scenarios(protocol, scale, "default", 1, exec_cost)
-        )
-    results = execute_specs(scenarios, jobs=jobs)
-    per_protocol = 4 * len(scale.sizes)
-    degradations = {}
-    for index, protocol in enumerate(protocols):
-        rows = _sweep_rows(
-            scale,
-            results[index * per_protocol : (index + 1) * per_protocol],
-        )
-        worst = min(
-            min(row["static_pct"], row["dynamic_pct"]) for row in rows
-        )
-        degradations[protocol] = 100.0 - worst
-    return degradations

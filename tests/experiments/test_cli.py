@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.experiments.cli import COMMANDS, main
+from repro.experiments.cli import main
+from repro.experiments.figures import FIGURES
 
 
 def test_every_figure_has_a_command():
     expected = {"table1", "fig1", "fig2", "fig3", "fig7", "fig8", "fig9",
                 "fig10", "fig11", "fig12"}
-    assert set(COMMANDS) == expected
+    assert set(FIGURES) == expected
 
 
 def test_missing_command_exits_with_usage():
@@ -267,6 +268,17 @@ def test_run_negative_payload_is_a_usage_error(capsys):
     assert err.startswith("run: ") and "payload must be >= 0" in err
 
 
+def _no_figure_runs(monkeypatch):
+    import repro.experiments.figures as figures
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a figure ran on invalid flags")
+
+    for runner in ("attack_sweep", "execute_specs", "latency_throughput_curve",
+                   "run", "unfair_primary_run"):
+        monkeypatch.setattr(figures, runner, no_run)
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -282,18 +294,35 @@ def test_run_negative_payload_is_a_usage_error(capsys):
 )
 def test_figure_invalid_values_are_usage_errors(argv, reason, capsys, monkeypatch):
     # Rejected before any capacity probe or simulation is started.
-    import repro.experiments.cli as cli
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("a figure ran on invalid flags")
-
-    for runner in ("attack_sweep", "latency_throughput_curve", "monitoring_view",
-                   "table1", "unfair_primary_run"):
-        monkeypatch.setattr(cli, runner, no_run)
+    _no_figure_runs(monkeypatch)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(argv[0] + ": ") and reason in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # these figures sweep or fix their own request sizes: a
+        # --payload used to be accepted, ignored, and exit 0
+        ["table1", "--payload", "1024"],
+        ["fig1", "--payload", "1024"],
+        ["fig8", "--payload", "1024"],
+        ["fig10", "--payload", "8"],
+        ["fig12", "--payload", "8"],
+        # one run, no fan-out: --jobs was accepted and ignored
+        ["fig9", "--jobs", "2"],
+        ["fig11", "--jobs", "1"],
+        ["fig12", "--jobs", "1"],
+    ],
+)
+def test_figure_rejects_flags_it_would_ignore(argv, capsys, monkeypatch):
+    _no_figure_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -306,22 +335,23 @@ def test_figure_invalid_values_are_usage_errors(argv, reason, capsys, monkeypatc
             {"offered": 1.0, "throughput": 1.0, "latency_ms": 1.0},
         ]),
         ("fig8", "attack_sweep", []),
-        ("fig9", "monitoring_view", {}),
+        ("fig9", "run", None),
         ("fig10", "attack_sweep", []),
-        ("fig11", "monitoring_view", {}),
+        ("fig11", "run", None),
     ],
 )
 def test_figure_passes_f_to_its_runner(command, runner, result, monkeypatch, capsys):
     # Every figure parser accepts --f; a runner called without it
     # silently simulated f = 1.
-    import repro.experiments.cli as cli
+    import repro.experiments.figures as figures
 
     seen = []
 
     def record(*args, **kwargs):
-        seen.append(kwargs.get("f"))
+        # run() reads f from its Scenario, the sweeps take it by keyword
+        seen.append(args[0].f if runner == "run" else kwargs.get("f"))
         return result
 
-    monkeypatch.setattr(cli, runner, record)
+    monkeypatch.setattr(figures, runner, record)
     assert main([command, "--f", "2"]) == 0
     assert seen and set(seen) == {2}

@@ -4,8 +4,7 @@ import pytest
 
 from repro.clients import ClientPopulation, LoadGenerator, build_profile
 from repro.core import RBFTConfig
-from repro.experiments import SMOKE, attack_sweep, deploy
-from repro.experiments.runner import _capacity_cache
+from repro.experiments import SMOKE, deploy
 from repro.net.topology import named
 from repro.protocols import registry
 from repro.protocols.base import NodeConfig
@@ -134,17 +133,3 @@ def test_deploy_matches_the_per_protocol_builders(
     dep.sim.run(until=0.05)
     assert (dep.sim.dispatched, generator.total_completed()) == drive
 
-
-def test_rbft_attack_sweep_serial_and_parallel_match_the_builders(monkeypatch):
-    """One Fig. 8 row set through both fan-out paths.  The parallel
-    sweep reuses the serial one's probes through the capacity cache
-    file, as a second figure in one CLI run would."""
-    monkeypatch.delenv("REPRO_CAPACITY_CACHE", raising=False)
-    _capacity_cache.clear()
-    expected = [{
-        "size": 8,
-        "static_pct": 97.79294322636852,
-        "dynamic_pct": 96.15522559357292,
-    }]
-    assert attack_sweep("rbft", SMOKE, attack="rbft-worst1", jobs=1) == expected
-    assert attack_sweep("rbft", SMOKE, attack="rbft-worst1", jobs=2) == expected

@@ -11,11 +11,11 @@ import hashlib
 import pytest
 
 from repro.experiments import (
+    FIGURES,
     SMOKE,
     Scenario,
     ScenarioScale,
     Workload,
-    monitoring_view,
     probe_capacity,
     run,
 )
@@ -148,14 +148,37 @@ PIN = ScenarioScale(
 @pytest.mark.parametrize(
     "worst_attack, expected",
     [
-        (1, {"node0": [13087.5, 13312.5], "node1": [17500.0, 18225.0],
-             "node2": [17500.0, 18225.0]}),
-        (2, {"node1": [18300.0, 18012.5], "node2": [18300.0, 18012.5],
-             "node3": [18300.0, 18012.5]}),
+        (1, [{"node": "node0", "master": 13087.5, "backup1": 13312.5},
+             {"node": "node1", "master": 17500.0, "backup1": 18225.0},
+             {"node": "node2", "master": 17500.0, "backup1": 18225.0}]),
+        (2, [{"node": "node1", "master": 18300.0, "backup1": 18012.5},
+             {"node": "node2", "master": 18300.0, "backup1": 18012.5},
+             {"node": "node3", "master": 18300.0, "backup1": 18012.5}]),
     ],
 )
 def test_monitoring_view_is_pinned(worst_attack, expected):
-    assert monitoring_view(worst_attack, payload=1024, scale=PIN) == expected
+    figure = FIGURES["fig9" if worst_attack == 1 else "fig11"]
+    assert figure.rows(PIN, 1, 1024, None) == expected
+
+
+@pytest.mark.parametrize(
+    "shape, expected",
+    [("static", 98.19672131147541),  # the row's static_pct
+     ("spike", 96.58925979680697)],  # and its dynamic_pct
+)
+def test_fig8_row_is_pinned(shape, expected, monkeypatch):
+    # Fig. 8's PIN row, one load shape per case: the fault-free and the
+    # attacked run of attack_sweep's grid, serial (parallel == serial is
+    # test_parallel's).  The probe they share is pinned above.
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "_capacity_cache", {
+        ("rbft", 8, 1, 20e-6, "pin", 0): 30500.000000000004,
+    })
+    monkeypatch.delenv("REPRO_CAPACITY_CACHE", raising=False)
+    grid = runner._sweep_scenarios("rbft", PIN, "rbft-worst1", 1, 20e-6)
+    fault_free, attacked = [run(s) for s in grid if s.workload.shape == shape]
+    assert runner._relative_pct(attacked, fault_free) == expected
 
 
 def test_profile_report_is_pinned():

@@ -19,10 +19,10 @@ def test_readme_promotion_flag():
 
 
 def test_readme_cli_entrypoints_exist():
-    from repro.experiments.cli import COMMANDS
+    from repro.experiments import FIGURES
 
     for name in ("table1", "fig1", "fig7", "fig12"):
-        assert name in COMMANDS
+        assert name in FIGURES
 
 
 def test_version_exposed():

@@ -34,11 +34,10 @@ EXPERIMENTS_API = [
     "attack_sweep",
     "latency_throughput_curve",
     "make_deployment",
-    "monitoring_view",
     "probe_capacity",
     "relative_throughput",
-    "table1",
     "unfair_primary_run",
+    "FIGURES",
     "FULL",
     "QUICK",
     "SMOKE",
@@ -105,8 +104,8 @@ def test_scenario_is_hashable_and_picklable():
 
 def test_experiments_import_defers_profiling():
     # Running a scenario must not pay for importing the profiling
-    # harness: its two names resolve on first use (a fresh interpreter,
-    # so no earlier test's imports are visible).
+    # harness or the figure table: their names resolve on first use (a
+    # fresh interpreter, so no earlier test's imports are visible).
     import os
     import subprocess
     import sys
@@ -115,8 +114,9 @@ def test_experiments_import_defers_profiling():
     code = (
         "import sys; sys.path.insert(0, %r)\n" % src
         + "import repro.experiments as e\n"
-        "assert set(e._LAZY.values()) == {'profiling'}, e._LAZY\n"
+        "assert set(e._LAZY.values()) == {'figures', 'profiling'}, e._LAZY\n"
         "assert 'repro.experiments.profiling' not in sys.modules\n"
+        "assert 'repro.experiments.figures' not in sys.modules\n"
         "assert set(e.__all__) <= set(dir(e))\n"
         "from repro.experiments import profile_run\n"
         "assert profile_run is "
