@@ -28,7 +28,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.batching import CertificateCoalescer
 from repro.common.cluster import Machine
-from repro.common.executed import ExecutedIds
 from repro.common.quorum import (
     VectorQuorumTracker,
     quorum_size,
@@ -36,11 +35,9 @@ from repro.common.quorum import (
 )
 from repro.common.statemachine import Service
 from repro.common.types import Request
-from repro.crypto.blacklist import ClientBlacklist
-from repro.crypto.costmodel import MESSAGE_HEADER_SIZE
-from repro.crypto.primitives import Mac, MacAuthenticator
+from repro.crypto.primitives import MacAuthenticator
 from repro.net.message import Message
-from repro.protocols.base import ClientReplies, ClientRequestMsg
+from repro.protocols.base import ClientRequestMsg, InstanceTransport, ReplicaFront
 from repro.protocols.pbft.engine import OrderingInstance, RequestPool
 from repro.protocols.pbft.messages import OrderingMessage
 
@@ -49,21 +46,6 @@ from .messages import FloodMsg, InstanceBatchMsg, InstanceChangeMsg, PropagateMs
 from .monitoring import InstanceMonitor
 
 __all__ = ["RBFTNode", "InstanceTransport", "BatchingInstanceTransport"]
-
-
-class InstanceTransport:
-    """Adapter between an ordering instance and the machine's NICs."""
-
-    __slots__ = ("machine",)
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-
-    def broadcast(self, msg: OrderingMessage) -> None:
-        self.machine.broadcast_to_nodes(msg)
-
-    def send(self, replica: str, msg: OrderingMessage) -> None:
-        self.machine.send_to_node(replica, msg)
 
 
 class BatchingInstanceTransport:
@@ -92,35 +74,23 @@ class BatchingInstanceTransport:
         self.machine.send_to_node(replica, msg)
 
 
-class RBFTNode(ClientReplies):
+class RBFTNode(ReplicaFront):
     """One physical machine of an RBFT deployment."""
 
-    #: completion callbacks handed to the module and replica cores.  Each
-    #: is bound once per node: a bound method built at the submit site
-    #: would live as long as its job waits in a core's backlog.
-    _STAGE_CALLBACKS = (
+    TRACES_STAGES = True
+
+    _STAGE_CALLBACKS = ReplicaFront._STAGE_CALLBACKS + (
         "_on_propagate",
         "_dispatch_envelope",
         "_on_instance_change",
         "_note_invalid",
-        "_after_request_mac",
-        "_after_request_signature",
         "_emit_propagate",
         "_after_propagate_signature",
         "_dispatch_ready",
-        "_execute_one",
     )
 
     def __init__(self, machine: Machine, config: RBFTConfig, service: Service):
-        for name in self._STAGE_CALLBACKS:
-            setattr(self, name, getattr(self, name))
-        self.machine = machine
-        self.config = config
-        self.costs = config.costs
-        self.service = service
-        self.name = machine.name
-        self.index = machine.index
-        self.sim = machine.cluster.sim
+        super().__init__(machine, config, service, config.rx_overhead)
         sim = self.sim
 
         # Module cores (Fig. 6) -------------------------------------------
@@ -181,7 +151,6 @@ class RBFTNode(ClientReplies):
             self.engines.append(engine)
 
         # Propagation state ------------------------------------------------
-        self.blacklist = ClientBlacklist()
         self._propagated: set = set()
         self._sig_inflight: set = set()  # dedup of queued signature checks
         self._propagate_votes = VectorQuorumTracker(
@@ -192,12 +161,6 @@ class RBFTNode(ClientReplies):
         self._given_at: Dict[Tuple[str, int], float] = {}
         self.ready_ids = self._given_at.keys()
         self._ordered_by: Dict[Tuple[str, int], int] = {}
-
-        # Execution state ----------------------------------------------------
-        #: executed ids and each client's last reply, one table.
-        self.executed_ids = ExecutedIds()
-        self.executed_count = 0
-        self.invalid_requests = 0
 
         # Monitoring & instance change (§IV-C, §IV-D) -----------------------
         self.monitor = InstanceMonitor(
@@ -234,11 +197,7 @@ class RBFTNode(ClientReplies):
         # immutable, so one interned instance signs every outbound
         # message; routing is pre-bound per message class.
         self._auth = MacAuthenticator.for_signer(self.name)
-        self._reply_mac = Mac(self.name)
-        self._auth_rx_costs: Dict[int, float] = {}
-        self._sig_verify_costs: Dict[int, float] = {}
         self._propagate_tx_costs: Dict[int, float] = {}
-        self._exec_reply_cost = self.costs.mac_gen(MESSAGE_HEADER_SIZE)
         self._routes: Dict[type, Callable[[Message], None]] = {
             ClientRequestMsg: self._route_request,
             PropagateMsg: self._route_propagate,
@@ -260,19 +219,11 @@ class RBFTNode(ClientReplies):
         routes = self._routes
         handler = routes.get(msg.__class__)
         if handler is None:
-            # First sight of this exact class: resolve it (isinstance
-            # handles subclasses and the many OrderingMessage leaves) and
-            # cache the binding for every later message of the class.
+            # First sight of this exact class: one of the many
+            # OrderingMessage leaves, or traffic this node ignores.  The
+            # binding is cached for every later message of the class.
             if isinstance(msg, OrderingMessage):
                 handler = self._route_ordering
-            elif isinstance(msg, ClientRequestMsg):
-                handler = self._route_request
-            elif isinstance(msg, PropagateMsg):
-                handler = self._route_propagate
-            elif isinstance(msg, InstanceChangeMsg):
-                handler = self._route_instance_change
-            elif isinstance(msg, FloodMsg):
-                handler = self._route_flood
             else:
                 handler = self._route_ignore
             routes[msg.__class__] = handler
@@ -346,65 +297,29 @@ class RBFTNode(ClientReplies):
     def _route_ignore(self, msg: Message) -> None:
         pass
 
-    def _auth_rx_cost(self, nbytes: int) -> float:
-        cost = self._auth_rx_costs.get(nbytes)
-        if cost is None:
-            cost = (
-                self.costs.authenticator_verify(nbytes) + self.config.rx_overhead
-            )
-            self._auth_rx_costs[nbytes] = cost
-        return cost
-
-    def _sig_verify_cost(self, nbytes: int) -> float:
-        cost = self._sig_verify_costs.get(nbytes)
-        if cost is None:
-            cost = self._sig_verify_costs[nbytes] = self.costs.sig_verify(nbytes)
-        return cost
-
     # -------------------------------------------------- Verification module
-    def _receive_request(self, request: Request) -> None:
-        if self.blacklist.banned(request.client):
-            return
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                self.sim.now, "node.stage", self.name,
-                stage="verification.mac", client=request.client,
-            )
-        cost = self._auth_rx_cost(request.wire_size())
-        self.verification_core.submit(cost, self._after_request_mac, request)
-
-    def _after_request_mac(self, request: Request) -> None:
-        if not request.authenticator.valid_for(self.name):
-            self.invalid_requests += 1
-            return
-        if request.request_id in self.executed_ids:
-            self._resend_reply(request)
-            return
-        if request.request_id in self._propagated:
-            return  # already verified via a PROPAGATE
-        if request.request_id in self._sig_inflight:
-            return  # a signature check for this request is already queued
-        self._sig_inflight.add(request.request_id)
+    def _signature_check_wanted(self, request: Request) -> bool:
+        request_id = request.request_id
+        if request_id in self._propagated:
+            return False  # already verified via a PROPAGATE
+        if request_id in self._sig_inflight:
+            return False  # a signature check for this request is already queued
+        self._sig_inflight.add(request_id)
         tracer = self.sim.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
                 self.sim.now, "node.stage", self.name,
                 stage="verification.sig", client=request.client,
             )
-        cost = self._sig_verify_cost(request.wire_size())
-        self.verification_core.submit(cost, self._after_request_signature, request)
+        return True
 
     def _after_request_signature(self, request: Request) -> None:
         self._sig_inflight.discard(request.request_id)
-        if not request.signature.valid:
-            self.blacklist.ban(request.client)
-            self.invalid_requests += 1
-            return
-        self._start_propagation(request)
+        super()._after_request_signature(request)
 
     # --------------------------------------------------- Propagation module
-    def _start_propagation(self, request: Request) -> None:
+    def _on_request_verified(self, request: Request) -> None:
+        """A verified body (client copy or PROPAGATE): propagate it."""
         request_id = request.request_id
         if request_id in self._propagated:
             return
@@ -474,7 +389,7 @@ class RBFTNode(ClientReplies):
             ):
                 self._propagate_votes.discard(request_id)
             return
-        self._start_propagation(request)
+        self._on_request_verified(request)
 
     def _register_propagate(self, request_id, sender: str) -> bool:
         """Count one PROPAGATE; False iff the request already executed.
@@ -611,31 +526,17 @@ class RBFTNode(ClientReplies):
 
     # ------------------------------------------------------ Execution module
     def _execute_items(self, items: Tuple) -> None:
-        newly_executed = self.executed_ids.add
+        store = self.request_store
         for item in items:
-            request_id = item.request_id
-            request = self.request_store.get(request_id)
-            if request is None:
-                # Executed earlier (the store empties at execution); a
-                # never-stored body is unreachable: f+1 PROPAGATEs imply
-                # we hold it.
-                continue
-            if not newly_executed(request_id):
-                continue
-            cost = self.service.exec_cost(request) + self._exec_reply_cost
-            self.execution_core.submit(cost, self._execute_one, request)
+            # No body: executed earlier (the store empties at execution);
+            # a never-stored body is unreachable: f+1 PROPAGATEs imply we
+            # hold it.
+            request = store.get(item.request_id)
+            if request is not None:
+                self._execute(request)
 
     def _execute_one(self, request: Request) -> None:
-        result, result_size = self.service.apply(request)
-        self.executed_count += 1
-        tracer = self.sim.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                self.sim.now, "node.stage", self.name,
-                stage="execution", client=request.client,
-                rid=request.rid,
-            )
-        self._reply(request.reply(result, result_size))
+        super()._execute_one(request)
         self.request_store.pop(request.request_id, None)
 
     # ------------------------------------------------ Instance change (§IV-D)
@@ -778,9 +679,6 @@ class RBFTNode(ClientReplies):
             window.clear()
 
     # -------------------------------------------------------------- inspection
-    def backlog(self) -> int:
-        return self.master_engine.backlog()
-
     def log_sizes(self) -> Dict[str, int]:
         """Per-request memo sizes plus the largest engine protocol log.
 

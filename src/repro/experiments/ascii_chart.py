@@ -39,7 +39,9 @@ def multi_scatter(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render several series, keyed by their single-character marker."""
+    """Render several series keyed by name.  Each series is drawn with
+    the first character of its name that no earlier series uses (its
+    first character if all are taken), as the legend shows."""
     all_points = [p for pts in series.values() for p in pts]
     if not all_points:
         return "(no data)"
@@ -48,9 +50,14 @@ def multi_scatter(
     x0, x_step = _scale(xs, width)
     y0, y_step = _scale(ys, height)
 
+    marks: Dict[str, str] = {}
+    for name in series:
+        label = name or "o"
+        free = [c for c in label if c not in marks.values()]
+        marks[name] = free[0] if free else label[0]
     grid = [[" "] * width for _ in range(height)]
-    for marker, points in series.items():
-        mark = (marker or "o")[0]
+    for name, points in series.items():
+        mark = marks[name]
         for x, y in points:
             col = int(round((x - x0) / x_step))
             row = int(round((y - y0) / y_step))
@@ -77,6 +84,6 @@ def multi_scatter(
     if x_label:
         lines.append("            " + x_label.center(width))
     if len(series) > 1:
-        legend = "   ".join("%s = %s" % (m[0], m) for m in series)
+        legend = "   ".join("%s = %s" % (marks[name], name) for name in series)
         lines.append("            " + legend)
     return "\n".join(lines)

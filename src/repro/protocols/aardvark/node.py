@@ -51,12 +51,7 @@ class AardvarkConfig:
     history_views: Optional[int] = None  # default: N = 3f + 1
 
     def node_config(self) -> NodeConfig:
-        return NodeConfig(
-            instance=self.instance,
-            verify_request_signature=True,
-            mac_only_requests=False,
-            costs=self.costs,
-        )
+        return NodeConfig(instance=self.instance, costs=self.costs)
 
 
 class AardvarkNode(BftNode):

@@ -30,15 +30,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.batching import Batcher
 from repro.common.cluster import Machine
-from repro.common.executed import ExecutedIds
 from repro.common.quorum import VectorQuorumTracker
 from repro.common.statemachine import Service
 from repro.common.types import Request
-from repro.crypto.blacklist import ClientBlacklist
-from repro.crypto.costmodel import MESSAGE_HEADER_SIZE, CryptoCostModel
-from repro.crypto.primitives import Digest, Mac, Signature
+from repro.crypto.costmodel import CryptoCostModel
+from repro.crypto.primitives import Digest, Signature
 from repro.net.message import Message
-from repro.protocols.base import ClientRequestMsg, ReplyMsg
+from repro.protocols.base import ClientRequestMsg, ReplicaFront
 
 from .messages import (
     PoAck,
@@ -80,17 +78,14 @@ class PrimeConfig:
         return 3 * self.f + 1
 
 
-class PrimeNode:
+class PrimeNode(ReplicaFront):
     """One Prime replica (four pinned cores, mirroring its thread pools)."""
 
+    CHECKS_MAC = False  # requests are signed only
+    RECORDS_REPLIES = False  # and no retransmission is answered
+
     def __init__(self, machine: Machine, config: PrimeConfig, service: Service):
-        self.machine = machine
-        self.config = config
-        self.costs = config.costs
-        self.service = service
-        self.name = machine.name
-        self.index = machine.index
-        self.sim = machine.cluster.sim
+        super().__init__(machine, config, service, config.rx_overhead)
         sim = self.sim
 
         self.verification_core = machine.cores.allocate("verification")
@@ -98,7 +93,6 @@ class PrimeNode:
         self.ordering_core = machine.cores.allocate("ordering")
         self.execution_core = machine.cores.allocate("execution")
 
-        self.blacklist = ClientBlacklist()
         self.view = 0
         self.seq = 0
         self._bundle_counter = 0
@@ -115,12 +109,6 @@ class PrimeNode:
         self._next_order_exec = 1
         self._ordered_vectors: Dict[int, Dict[str, int]] = {}
         self._held_orders: List[PrimeOrder] = []
-        #: executed ids only: Prime answers no retransmission, so the
-        #: table records no replies.
-        self.executed_ids = ExecutedIds()
-        self._reply_mac = Mac(self.name)
-        self.executed_count = 0
-        self.invalid_requests = 0
         self._orphan_watch: Dict = {}  # request_id -> (request, seen_at)
 
         # Monitoring state (§III-A) ---------------------------------------
@@ -190,19 +178,7 @@ class PrimeNode:
 
         return "node%d" % (zlib.crc32(client.encode()) % self.config.n)
 
-    def _receive_request(self, request: Request) -> None:
-        if self.blacklist.banned(request.client):
-            return
-        cost = self.costs.sig_verify(request.wire_size()) + self.config.rx_overhead
-        self.verification_core.submit(cost, self._after_request_verified, request)
-
-    def _after_request_verified(self, request: Request) -> None:
-        if not request.signature.valid:
-            self.blacklist.ban(request.client)
-            self.invalid_requests += 1
-            return
-        if request.request_id in self.executed_ids:
-            return
+    def _on_request_verified(self, request: Request) -> None:
         if self.originator_of(request.client) == self.name and not self.silent:
             self._po_batcher.add(request)
         else:
@@ -456,13 +432,7 @@ class PrimeNode:
                 self.covered[node] += 1
                 requests = self.bundles.get((node, self.covered[node]), ())
                 for request in requests:
-                    if not self.executed_ids.add(request.request_id):
-                        continue
-                    cost = self.service.exec_cost(request) + self.costs.mac_gen(
-                        MESSAGE_HEADER_SIZE
-                    )
-                    batch_cost += cost
-                    self.execution_core.submit(cost, self._execute_one, request)
+                    batch_cost += self._execute(request)
         if batch_cost > 0:
             # EWMA of batch execution time — the measurement the Prime
             # attack inflates with heavy requests.
@@ -470,14 +440,6 @@ class PrimeNode:
             self.batch_exec_estimate = (
                 (1 - alpha) * self.batch_exec_estimate + alpha * batch_cost
             )
-
-    def _execute_one(self, request: Request) -> None:
-        result, result_size = self.service.apply(request)
-        self.executed_count += 1
-        reply = request.reply(result, result_size)
-        channel = self.machine.channel_to_client(request.client)
-        if channel is not None:
-            channel.send(ReplyMsg(reply, self._reply_mac, self.name))
 
     # ------------------------------------------------------------ monitoring
     def acceptable_order_delay(self) -> float:

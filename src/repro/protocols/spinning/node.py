@@ -48,16 +48,13 @@ class SpinningConfig:
     def node_config(self) -> NodeConfig:
         if not self.instance.auto_advance_view:
             raise ValueError("Spinning requires auto_advance_view instances")
-        return NodeConfig(
-            instance=self.instance,
-            verify_request_signature=False,
-            mac_only_requests=True,
-            costs=self.costs,
-        )
+        return NodeConfig(instance=self.instance, costs=self.costs)
 
 
 class SpinningNode(BftNode):
     """One Spinning replica."""
+
+    CHECKS_SIGNATURE = False  # requests carry MACs only
 
     def __init__(self, machine: Machine, config: SpinningConfig, service: Service):
         super().__init__(machine, config.node_config(), service)
@@ -79,8 +76,8 @@ class SpinningNode(BftNode):
         return view % n  # unreachable: blacklist holds at most f < n entries
 
     # ---------------------------------------------------------- timer logic
-    def on_request_verified(self, request) -> None:
-        super().on_request_verified(request)
+    def _on_request_verified(self, request) -> None:
+        super()._on_request_verified(request)
         if self._timer is None or not self._timer.active:
             self._timer = self.sim.call_after(self.current_timeout, self._expired)
 

@@ -35,7 +35,11 @@ def test_single_request_executes_and_replies():
 def test_stage_callbacks_are_bound_once():
     # A queued core job holds its callback: one bound method per node,
     # not one per job (see test_queued_job_memory_budget).
+    from repro.protocols.base import ReplicaFront
+
     node = deploy("rbft", small_config(), n_clients=1).nodes[0]
+    # The request front's callbacks (verification and execution) too.
+    assert set(ReplicaFront._STAGE_CALLBACKS) <= set(node._STAGE_CALLBACKS)
     for name in node._STAGE_CALLBACKS:
         assert getattr(node, name) is getattr(node, name), name
 
@@ -89,14 +93,6 @@ def test_request_needs_f_plus_one_propagates():
     dep.clients[0].send_request(targets=["node0"])
     dep.sim.run(until=0.5)
     assert all(node.executed_count == 1 for node in dep.nodes)
-
-
-def test_invalid_signature_blacklists_client_everywhere():
-    dep = deploy("rbft", small_config(), n_clients=1)
-    dep.clients[0].send_request(signature_valid=False)
-    dep.sim.run(until=0.5)
-    assert all(node.blacklist.banned("client0") for node in dep.nodes)
-    assert all(node.executed_count == 0 for node in dep.nodes)
 
 
 def test_monitoring_counts_per_instance_throughput():
@@ -227,64 +223,6 @@ def test_udp_deployment_works():
     assert all(node.executed_count == 10 for node in dep.nodes)
 
 
-def check_duplicate_answered_from_reply_cache(sim, nodes, client):
-    """A retransmitted request is answered from the per-client cache."""
-    from repro.common import Reply
-    from repro.crypto import Mac
-    from repro.protocols.base import ClientRequestMsg
-
-    replies = []
-    deliver = client.port.handler
-
-    def spy(msg):
-        replies.append(msg)
-        deliver(msg)
-
-    client.port.handler = spy
-    first = client.send_request()
-    sim.run(until=0.3)
-    assert client.completed == 1 and len(replies) == len(nodes)
-    assert sorted(msg.sender for msg in replies) == sorted(n.name for n in nodes)
-    # One flat record per client identity, and one for the whole
-    # deployment: every correct replica's cache holds the same Reply.
-    shared = nodes[0].reply_cache[client.name]
-    assert shared == Reply(client.name, first.rid, "ok", 8)
-    for node in nodes:
-        assert node.reply_cache.keys() == {client.name}
-        assert node.reply_cache[client.name] is shared
-
-    client.port.broadcast(ClientRequestMsg(first))
-    sim.run(until=0.6)
-    assert all(node.executed_count == 1 for node in nodes)
-    resent = replies[len(nodes):]
-    assert sorted(msg.sender for msg in resent) == sorted(n.name for n in nodes)
-    for msg in resent:
-        assert msg.mac == Mac(msg.sender)
-        assert msg.reply is shared
-
-    # Only the *last* reply is cached: once a newer request executed, a
-    # retransmission of the older one is dropped without an answer.
-    client.send_request()
-    sim.run(until=0.9)
-    assert client.completed == 2 and len(replies) == 3 * len(nodes)
-    client.port.broadcast(ClientRequestMsg(first))
-    sim.run(until=1.2)
-    assert len(replies) == 3 * len(nodes)
-    assert all(node.executed_count == 2 for node in nodes)
-
-
-def test_duplicate_request_answered_from_reply_cache():
-    dep = deploy("rbft", small_config(), n_clients=1)
-    check_duplicate_answered_from_reply_cache(dep.sim, dep.nodes, dep.clients[0])
-
-
-def test_duplicate_request_answered_from_reply_cache_by_bft_node():
-    from tests.helpers import build_pbft
-
-    sim, _, nodes, clients = build_pbft(clients=1)
-    check_duplicate_answered_from_reply_cache(sim, nodes, clients[0])
-
-
 def test_replica_with_a_different_result_keeps_its_own_reply():
     from repro.common import NullService
 
@@ -350,19 +288,6 @@ def test_old_request_and_straggling_propagate_do_not_reexecute():
         assert first.request_id not in node.request_store
         assert not node._sig_inflight
         assert all(engine.ordered_items == 1001 for engine in node.engines)
-
-
-def test_old_request_does_not_reexecute_on_bft_node():
-    from tests.helpers import build_pbft
-
-    sim, _, nodes, clients = build_pbft(clients=1)
-    replay_an_old_request(sim, nodes, clients[0], until=0.5)
-    sim.run(until=1.0)
-    assert clients[0].completed == 1001
-    for node in nodes:
-        assert node.executed_count == 1001
-        assert len(node.executed_ids) == 1001
-        assert node.engine.ordered_items == 1001
 
 
 def test_f2_deployment_executes_requests():

@@ -49,3 +49,14 @@ def test_y_axis_shows_value_range():
     text = scatter([(0, 2.0), (1, 8.0)], width=10, height=4)
     assert "8" in text
     assert "2" in text
+
+
+def test_series_sharing_a_first_letter_get_distinct_markers():
+    text = multi_scatter(
+        {"rbft": [(0, 1)], "rbft-udp": [(1, 2)], "prime": [(2, 3)]},
+        width=20,
+        height=6,
+    )
+    grid = "".join(line for line in text.splitlines() if "|" in line)
+    assert "r = rbft   b = rbft-udp   p = prime" in text
+    assert {"r", "b", "p"} <= set(grid)

@@ -23,15 +23,16 @@ def test_unknown_command_rejected():
 
 
 def test_fig9_runs_end_to_end(capsys, monkeypatch):
-    # The smallest real command: one monitored run, at the SMOKE scale.
+    # The smallest real command: one monitored run, at the PIN scale
+    # (the rows of test_scenario's monitoring-view pin, rendered).
     import repro.experiments.cli as cli
-    from repro.experiments import SMOKE
+    from tests.helpers import PIN
 
-    monkeypatch.setattr(cli, "current_scale", lambda: SMOKE)
+    monkeypatch.setattr(cli, "current_scale", lambda: PIN)
     assert main(["fig9", "--payload", "1024"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 9" in out
-    assert "master=" in out
+    assert "node0: master=13.09 kreq/s  backup1=13.31 kreq/s" in out
 
 
 def test_explore_and_check_round_trip(capsys, tmp_path):

@@ -14,11 +14,11 @@ from repro.experiments import (
     FIGURES,
     SMOKE,
     Scenario,
-    ScenarioScale,
     Workload,
     probe_capacity,
     run,
 )
+from tests.helpers import PIN
 
 
 def test_runs_are_deterministic():
@@ -38,11 +38,11 @@ def test_scenario_run_method_delegates():
 def test_attack_scenarios_run():
     """Fig. 8, the paper's headline: worst-attack-1 costs RBFT a few
     percent of its fault-free throughput and never an instance change.
-    A fixed saturating rate (no capacity probe); 0.978 on this seed."""
+    A fixed saturating rate (no capacity probe); 0.982 on this seed."""
     base = Scenario(
         protocol="rbft",
         workload=Workload("static", rate=38000.0, population=False),
-        scale=SMOKE,
+        scale=PIN,
     )
     fault_free = run(base)
     attacked = run(base.with_(attack="rbft-worst1"))
@@ -136,13 +136,8 @@ def test_profile_rejects_bad_arguments_before_simulating(
 #
 # The capacity probe, the Figs 9/11 monitoring view and the profile
 # report each assembled their own run before they went through run();
-# these values were recorded from those hand-built assemblies on a short
-# scale, so a drift in run()'s assembly shows up here.
-PIN = ScenarioScale(
-    name="pin", duration=0.12, warmup=0.04, probe_duration=0.06,
-    sizes=(8,), rate_points=2, monitoring_period=0.02,
-    aardvark_grace=0.35, aardvark_period=0.05,
-)
+# these values were recorded from those hand-built assemblies on the
+# short PIN scale, so a drift in run()'s assembly shows up here.
 
 
 @pytest.mark.parametrize(

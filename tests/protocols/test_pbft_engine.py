@@ -70,19 +70,6 @@ def test_duplicate_request_not_executed_twice():
     assert all(node.executed_count == 1 for node in nodes)
 
 
-def test_invalid_signature_blacklists_client():
-    sim, cluster, nodes, clients = build_pbft()
-    client = clients[0]
-    client.send_request(signature_valid=False)
-    sim.run(until=0.3)
-    assert client.completed == 0
-    assert all(node.blacklist.banned(client.name) for node in nodes)
-    # Further requests from the blacklisted client are ignored.
-    client.send_request()
-    sim.run(until=0.6)
-    assert client.completed == 0
-
-
 def test_invalid_mac_is_dropped_without_blacklist():
     sim, cluster, nodes, clients = build_pbft()
     client = clients[0]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Guard the library's two single points of assembly.
+"""Guard the library's three single points of assembly.
 
 1. **Rate profiles.**  The workload registry (``repro.clients.registry``)
    is the one place that maps pack names to rate-profile constructors;
@@ -19,6 +19,12 @@
    * ``repro/verify/episode.py`` — an episode loads ``clients[1:]``
      under a hand-set config and drains after the load, which a
      ``Scenario`` cannot describe yet.
+
+3. **The replica front.**  ``ReplicaFront`` in
+   ``repro/protocols/base.py`` owns every replica's per-client state
+   and its reply path; a node that constructs its own
+   ``ClientBlacklist``, ``ExecutedIds`` or ``ReplyMsg`` is a second
+   copy of it.  Allowed: ``repro/protocols/base.py`` alone.
 
 (Deployments need no such guard: ``deploy`` is the only assembly there
 is.)  Everything else under ``src/repro`` goes through the registry and
@@ -60,6 +66,10 @@ GENERATORS_ALLOWED = frozenset(
     ]
 )
 
+FRONT_STATE = frozenset(["ClientBlacklist", "ExecutedIds", "ReplyMsg"])
+
+FRONT_ALLOWED = frozenset([os.path.join("repro", "protocols", "base.py")])
+
 
 def violations_in(path: str, rel: str):
     """Yield (line, message) for each guarded use in one file."""
@@ -77,10 +87,14 @@ def violations_in(path: str, rel: str):
                         yield (node.lineno, "direct use of %s" % alias.name)
             elif isinstance(node, ast.Attribute) and node.attr in PROFILES:
                 yield (node.lineno, "direct use of %s" % node.attr)
-        if rel not in GENERATORS_ALLOWED and isinstance(node, ast.Call):
-            func = node.func  # a Name has .id, an Attribute .attr
-            if getattr(func, "id", getattr(func, "attr", None)) == "LoadGenerator":
-                yield (node.lineno, "LoadGenerator constructed outside run()")
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func  # a Name has .id, an Attribute .attr
+        called = getattr(func, "id", getattr(func, "attr", None))
+        if called == "LoadGenerator" and rel not in GENERATORS_ALLOWED:
+            yield (node.lineno, "LoadGenerator constructed outside run()")
+        if called in FRONT_STATE and rel not in FRONT_ALLOWED:
+            yield (node.lineno, "%s constructed outside ReplicaFront" % called)
 
 
 def main(argv) -> int:
@@ -96,8 +110,9 @@ def main(argv) -> int:
                 found.append("%s:%d: %s" % (rel, line, message))
     if found:
         print("lint_builders: library code must resolve rate profiles via")
-        print("repro.clients.registry (build_profile) and run scenarios")
-        print("through repro.experiments.run:")
+        print("repro.clients.registry (build_profile), run scenarios")
+        print("through repro.experiments.run and keep per-client replica")
+        print("state in repro.protocols.base.ReplicaFront:")
         for entry in found:
             print("  " + entry)
         return 1
